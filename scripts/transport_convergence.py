@@ -30,10 +30,8 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     if args.twisted:
         c = sampling.random_lgxs1_connection(rng, 2, args.samples, args.n)
-        check = caloron.g_curvature_transport_check_twisted
     else:
         c = sampling.random_lg_connection(rng, 2, args.samples, args.n)
-        check = caloron.g_curvature_transport_check
     pts = [0.3 * rng.standard_normal(2)]
 
     steps = [4e-2 / 2 ** i for i in range(9)]
@@ -41,7 +39,7 @@ def main() -> int:
     prev = None
     for h in steps:
         chart = caloron.ExtendedChart(2, args.samples, args.n, fd_step=h)
-        r = check(c, pts, chart=chart)
+        r = caloron.g_curvature_transport_check(c, pts, chart=chart)
         ratio = f"{prev / r:7.2f}" if prev else "      -"
         print(f"{h:10.2e}  {r:12.4e}  {ratio}")
         prev = r

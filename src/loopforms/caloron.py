@@ -101,40 +101,27 @@ def _ad_inv(g: np.ndarray, loops: np.ndarray) -> np.ndarray:
     return ginv @ loops @ g
 
 
-def to_g_connection(c: LGConnectionData, chart: ExtendedChart | None = None) -> GConnectionField:
-    """Assemble Ad(g^{-1}) A + Theta + Ad(g^{-1}) Phi dtheta on the extended chart."""
-    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n)
-
-    def coeffs(x, u):
-        g = chart.group_point(u)
-        out = np.zeros((chart.total_dim, c.N, c.n, c.n), dtype=complex)
-        for i in range(c.dim):
-            out[i] = _ad_inv(g, c.A.coeff(x, (i,)))
-        out[chart.theta_index] = _ad_inv(g, c.phi(x))
-        mc = chart.maurer_cartan(u)
-        for a in range(chart.group_dim):
-            out[chart.base_dim + 1 + a] = np.broadcast_to(
-                mc[a], (c.N, c.n, c.n)
-            )
-        return out
-
-    return GConnectionField(chart, coeffs)
-
-
-def to_g_connection_twisted(
-    c: LGxS1ConnectionData, chart: ExtendedChart | None = None
+def to_g_connection(
+    c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedChart | None = None
 ) -> GConnectionField:
-    """Twisted assembly Ad(g^{-1}) A + Theta + Ad(g^{-1}) Phi (a + dtheta);
-    the theta coordinate now models the fiber of the circle bundle."""
-    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n)
+    """Assemble Ad(g^{-1}) A + Theta + Ad(g^{-1}) Phi dtheta on the extended chart.
+
+    For LG x| S1 data the assembly is twisted, Ad(g^{-1}) A + Theta
+    + Ad(g^{-1}) Phi (a + dtheta); the theta coordinate then models the
+    fiber of the circle bundle.  The default chart takes the data's step.
+    """
+    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n, fd_step=c.fd_step)
+    twisted = isinstance(c, LGxS1ConnectionData)
 
     def coeffs(x, u):
         g = chart.group_point(u)
         phi = c.phi(x)
         out = np.zeros((chart.total_dim, c.N, c.n, c.n), dtype=complex)
         for i in range(c.dim):
-            ai = c.a.coeff(x, (i,))
-            out[i] = _ad_inv(g, c.A.coeff(x, (i,)) + ai * phi)
+            Ai = c.A.coeff(x, (i,))
+            if twisted:
+                Ai = Ai + c.a.coeff(x, (i,)) * phi
+            out[i] = _ad_inv(g, Ai)
         out[chart.theta_index] = _ad_inv(g, phi)
         mc = chart.maurer_cartan(u)
         for a in range(chart.group_dim):
@@ -211,40 +198,28 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
     return comps
 
 
-def transport_target_lg(c: LGConnectionData, chart: ExtendedChart,
-                        x: np.ndarray, u: np.ndarray) -> dict:
-    """Ad(g^{-1})(F + nabla Phi ^ dtheta) componentwise; group slots vanish."""
+def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedChart,
+                     x: np.ndarray, u: np.ndarray) -> dict:
+    """Ad(g^{-1})(F + nabla Phi ^ dtheta) componentwise; group slots vanish.
+
+    For LG x| S1 data the target is Ad(g^{-1})(F + f Phi + nabla Phi ^ (a + dtheta)).
+    """
     g = chart.group_point(u)
-    F = curvature_lg(c).F
-    nabla = covariant_higgs_lg(c)
+    twisted = isinstance(c, LGxS1ConnectionData)
+    pair = curvature_lgxs1(c) if twisted else curvature_lg(c)
+    nabla = covariant_higgs_lgxs1(c) if twisted else covariant_higgs_lg(c)
     ti = chart.theta_index
     out = {}
     for i in range(c.dim):
         for j in range(i + 1, c.dim):
-            out[(i, j)] = _ad_inv(g, F.coeff(x, (i, j)))
-        out[(i, ti)] = _ad_inv(g, nabla.coeff(x, (i,)))
-    return out
-
-
-def transport_target_lgxs1(c: LGxS1ConnectionData, chart: ExtendedChart,
-                           x: np.ndarray, u: np.ndarray) -> dict:
-    """Ad(g^{-1})(F + f Phi + nabla Phi ^ (a + dtheta)) componentwise."""
-    g = chart.group_point(u)
-    pair = curvature_lgxs1(c)
-    nabla = covariant_higgs_lgxs1(c)
-    phi = c.phi(x)
-    ti = chart.theta_index
-    out = {}
-    for i in range(c.dim):
-        ai = c.a.coeff(x, (i,))
-        for j in range(i + 1, c.dim):
-            aj = c.a.coeff(x, (j,))
-            val = (
-                pair.F.coeff(x, (i, j))
-                + pair.f.coeff(x, (i, j)) * phi
-                + nabla.coeff(x, (i,)) * aj
-                - nabla.coeff(x, (j,)) * ai
-            )
+            val = pair.F.coeff(x, (i, j))
+            if twisted:
+                val = (
+                    val
+                    + pair.f.coeff(x, (i, j)) * c.phi(x)
+                    + nabla.coeff(x, (i,)) * c.a.coeff(x, (j,))
+                    - nabla.coeff(x, (j,)) * c.a.coeff(x, (i,))
+                )
             out[(i, j)] = _ad_inv(g, val)
         out[(i, ti)] = _ad_inv(g, nabla.coeff(x, (i,)))
     return out
@@ -253,66 +228,44 @@ def transport_target_lgxs1(c: LGxS1ConnectionData, chart: ExtendedChart,
 def _transport_residual(field: GConnectionField, target: dict,
                         x: np.ndarray, u: np.ndarray, step: float | None) -> float:
     comps = g_curvature_components(field, x, u, step)
-    worst = 0.0
+    residuals = []
     for key, val in comps.items():
         want = target.get(key)
         diff = val - want if want is not None else val
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+        residuals.append(np.max(np.abs(diff)))
+    return fc._worst(residuals)
 
 
 def g_curvature_transport_check(
-    c: LGConnectionData,
+    c: LGConnectionData | LGxS1ConnectionData,
     points,
     chart: ExtendedChart | None = None,
     u: np.ndarray | None = None,
     step: float | None = None,
 ) -> float:
     """Max residual between the finite-difference curvature of the assembled
-    G-connection and the closed transport form, over the given base points."""
-    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n)
+    G-connection and the closed transport form, over the given base points.
+    Takes LG or LG x| S1 data; the latter is checked against the twisted
+    transport form.  The default chart takes the data's step."""
+    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n, fd_step=c.fd_step)
     field = to_g_connection(c, chart)
     u = u if u is not None else np.zeros(chart.group_dim)
-    worst = 0.0
+    residuals = []
     for x in points:
         x = np.asarray(x, dtype=float)
-        target = transport_target_lg(c, chart, x, u)
-        worst = max(worst, _transport_residual(field, target, x, u, step))
-    return worst
+        residuals.append(_transport_residual(field, transport_target(c, chart, x, u), x, u, step))
+    return fc._worst(residuals)
 
 
-def g_curvature_transport_check_twisted(
-    c: LGxS1ConnectionData,
-    points,
-    chart: ExtendedChart | None = None,
-    u: np.ndarray | None = None,
-    step: float | None = None,
-) -> float:
-    chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n)
-    field = to_g_connection_twisted(c, chart)
-    u = u if u is not None else np.zeros(chart.group_dim)
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        target = transport_target_lgxs1(c, chart, x, u)
-        worst = max(worst, _transport_residual(field, target, x, u, step))
-    return worst
-
-
-def pontrjagyn_fiber_integral(c: LGConnectionData) -> fc.FormField:
-    """Int_{S1} of -(1/8 pi^2) <F~, F~> for the transported curvature."""
+def pontrjagyn_fiber_integral(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
+    """Int_{S1} of -(1/8 pi^2) <F~, F~> for the transported curvature, of
+    LG or (twisted) LG x| S1 data."""
     if c.dim < 3:
         raise ValueError("need chart dimension >= 3")
     f = pontrjagyn_polynomial()
-    cyl = string_cylinder_lg(c)
-    p1 = fc.cyl_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))
-    return fc.fiber_integrate_s1(p1)
-
-
-def pontrjagyn_fiber_integral_twisted(c: LGxS1ConnectionData) -> fc.FormField:
-    if c.dim < 3:
-        raise ValueError("need chart dimension >= 3")
-    f = pontrjagyn_polynomial()
-    cyl = string_cylinder_lgxs1(c)
+    if isinstance(c, LGxS1ConnectionData):
+        cyl = string_cylinder_lgxs1(c)
+    else:
+        cyl = string_cylinder_lg(c)
     p1 = fc.cyl_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))
     return fc.fiber_integrate_s1(p1)

@@ -312,13 +312,13 @@ def _tau_pushforward(tau: Callable, point, X, h: float = FD_STEP):
 
 
 def delta_epsilon_vs_tau_alpha(
-    c, tau12: Callable, tau23: Callable, point: np.ndarray, X: np.ndarray,
-    h: float = FD_STEP,
+    c, tau12: Callable, tau23: Callable, point: np.ndarray, X: np.ndarray
 ) -> float:
     """Residual of delta epsilon = tau^* alpha over a triple of sections.
 
     Sections s1, s2 = s1 tau12, s3 = s2 tau23; epsilon_{ij} is evaluated
     with the connection in trivialization i, obtained by gauge transform.
+    The tau pushforwards use the connection's step ``c.fd_step``.
     """
     point = np.asarray(point, dtype=float)
 
@@ -335,6 +335,7 @@ def delta_epsilon_vs_tau_alpha(
 
     t12 = tau12(point)
     t23 = tau23(point)
+    h = c.fd_step
     xi1 = _tau_pushforward(tau12, point, X, h)
     rhs = alpha_form((t12, t23), (xi1, _tau_pushforward(tau23, point, X, h)))
     return abs(lhs - rhs)
@@ -349,25 +350,16 @@ def curving_direct(c) -> fc.FormField:
     from .connections import partial_theta
 
     AdA = fc.wedge_pair(c.A, partial_theta(c.A))
-    if isinstance(c, LGxS1ConnectionData):
-        pair = curvature_lgxs1(c)
-
-        def coeff(p, idx):
-            phi = c.phi(p)
-            lifted = pair.F.coeff(p, idx) + 0.5 * pair.f.coeff(p, idx) * phi
-            inner = 0.5 * np.asarray(AdA.coeff(p, idx)) - np.real(
-                -np.einsum("jab,jba->j", lifted, phi)
-            )
-            return float(lp.circle_integral(inner)) / (2.0 * pi)
-
-        return fc.FormField(2, c.dim, coeff)
-
-    F = curvature_lg(c).F
+    twisted = isinstance(c, LGxS1ConnectionData)
+    pair = curvature_lgxs1(c) if twisted else curvature_lg(c)
 
     def coeff(p, idx):
         phi = c.phi(p)
+        lifted = pair.F.coeff(p, idx)
+        if twisted:
+            lifted = lifted + 0.5 * pair.f.coeff(p, idx) * phi
         inner = 0.5 * np.asarray(AdA.coeff(p, idx)) - np.real(
-            -np.einsum("jab,jba->j", F.coeff(p, idx), phi)
+            -np.einsum("jab,jba->j", lifted, phi)
         )
         return float(lp.circle_integral(inner)) / (2.0 * pi)
 
@@ -426,19 +418,18 @@ def splitting_curving(c: LGxS1ConnectionData) -> fc.FormField:
     return fc.FormField(2, c.dim, coeff)
 
 
-def three_curvature_descent_check(
-    c, points, sigma: Callable | None = None, d_step: float = 1e-4
-) -> float:
+def three_curvature_descent_check(c, points, sigma: Callable | None = None) -> float:
     """Residual of d(curving) = 2 pi * (string form), plus gauge invariance
-    of d(curving) when a gauge function is supplied."""
+    of d(curving) when a gauge function is supplied.  d(curving) is taken
+    with the connection's step ``c.fd_step``."""
     B = curving_direct(c)
-    dB = fc.exterior_derivative(B, d_step)
+    dB = fc.exterior_derivative(B, c.fd_step)
     s = string_form_lgxs1(c) if isinstance(c, LGxS1ConnectionData) else string_form_lg(c)
     diff = fc.form_sum([dB, s], [1.0, -BRIDGE_TO_STRING_FORM])
     worst = fc.max_coeff(diff, points)
     if sigma is not None:
         ct = gauge_transform(c, sigma)
-        dBt = fc.exterior_derivative(curving_direct(ct), d_step)
+        dBt = fc.exterior_derivative(curving_direct(ct), c.fd_step)
         gauge_diff = fc.form_sum([dB, dBt], [1.0, -1.0])
-        worst = max(worst, fc.max_coeff(gauge_diff, points))
+        worst = fc._worst([worst, fc.max_coeff(gauge_diff, points)])
     return worst

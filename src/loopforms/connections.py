@@ -295,8 +295,3 @@ def gauge_transform(c, sigma):
         )
 
     raise TypeError(f"unsupported connection data {type(c)!r}")
-
-
-def reduce_to_lg(c: LGxS1ConnectionData) -> LGConnectionData:
-    """Forget the circle direction (the a = 0 reduction target)."""
-    return LGConnectionData(c.A, c.phi, c.dim, c.N, c.n, c.fd_step)

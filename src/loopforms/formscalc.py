@@ -312,12 +312,7 @@ def cyl_poly_wedge(cyls: list[CylinderForm], combine: Callable) -> CylinderForm:
 
 def fiber_integrate_s1(omega: CylinderForm) -> FormField:
     """Integrate over the circle fiber: beta is discarded, gamma integrated."""
-    g = omega.gamma
-
-    def coeff(p, idx):
-        return circle_integral(np.asarray(g.coeff(p, idx)))
-
-    return FormField(g.degree, g.dim, coeff)
+    return integrate_loop_form(omega.gamma)
 
 
 def integrate_loop_form(form: FormField) -> FormField:
@@ -329,13 +324,20 @@ def integrate_loop_form(form: FormField) -> FormField:
     return FormField(form.degree, form.dim, coeff)
 
 
+def _worst(values) -> float:
+    """Largest of the residuals, 0.0 for none, NaN if any is NaN.
+
+    The package's one worst-of rule.  ``max`` would drop a NaN, since every
+    comparison with it is false, and a broken trial would pass.
+    """
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
+
+
 def max_coeff(form: FormField, points, tuples=None) -> float:
     """Max absolute coefficient over sample points (all tuples by default)."""
     idxs = list(tuples) if tuples is not None else list(
         combinations(range(form.dim), form.degree)
     )
-    worst = 0.0
-    for p in points:
-        for idx in idxs:
-            worst = max(worst, float(np.max(np.abs(np.asarray(form.coeff(p, idx))))))
-    return worst
+    return _worst(
+        [np.max(np.abs(np.asarray(form.coeff(p, idx)))) for p in points for idx in idxs]
+    )

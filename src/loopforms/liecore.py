@@ -124,11 +124,6 @@ class InvariantPolynomial:
             raise ValueError("polynomial degree must be >= 1")
 
 
-def killing_polynomial(scale: float = 1.0) -> InvariantPolynomial:
-    """Degree-2 polynomial with f(X, Y) = scale * <X, Y>."""
-    return InvariantPolynomial(2, scale)
-
-
 def pontrjagyn_polynomial() -> InvariantPolynomial:
     """f(X, Y) = -(1/8 pi^2) <X, Y>, the degree-4 characteristic integrand."""
     return InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))

@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 from math import pi
 
 import numpy as np
@@ -87,99 +89,166 @@ def _check(name: str, suite: str, anchor: str, tolerance: float):
     return wrap
 
 
+def _worst_over(trials: int, trial) -> float:
+    """Worst residual of ``trials`` calls of ``trial()``, made in order."""
+    return fc._worst([trial() for _ in range(trials)])
+
+
+# Draw helpers.  Python evaluates call arguments left to right, so each
+# draws from the generator in the order its arguments are written.
+
+def _algebra_loop(cfg: RunConfig, rng) -> np.ndarray:
+    return sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
+
+
+def _group_loop(cfg: RunConfig, rng) -> np.ndarray:
+    return sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n)
+
+
+def _sd_group(cfg: RunConfig, rng) -> lp.SemiDirectGroupElement:
+    return lp.SemiDirectGroupElement(_group_loop(cfg, rng), rng.uniform(0, 2 * pi))
+
+
+def _sd_algebra(cfg: RunConfig, rng) -> lp.SemiDirectAlgebraElement:
+    return lp.SemiDirectAlgebraElement(_algebra_loop(cfg, rng), float(rng.standard_normal()))
+
+
+def _path_xi(cfg: RunConfig, rng, n: int | None = None, scale: float = 0.4) -> np.ndarray:
+    """Holonomy generator on the path-fibration grid."""
+    return sampling.bandlimited_algebra_loop(
+        rng, cfg.pathfib_samples, n or cfg.n, kmax=3, scale=scale
+    )
+
+
+def _point_tangent(cfg: RunConfig, rng, variant, slots: int):
+    """``slots`` group points, then ``slots`` tangents, of the variant's group."""
+    pts = tuple(variant.point(cfg, rng) for _ in range(slots))
+    return pts, tuple(variant.tangent(cfg, rng) for _ in range(slots))
+
+
+# One side of a twin check, LG or LG x| S1: its random connection data
+# (rng, dim, N, n, fd_step=), gauge function (rng, dim, N, n), group point
+# and tangent draws (cfg, rng), and string 3-form of connection data.
+_Variant = namedtuple("_Variant", "connection gauge point tangent string_form")
+_LG = _Variant(
+    sampling.random_lg_connection,
+    sampling.random_gauge_loop,
+    _group_loop,
+    _algebra_loop,
+    connections.string_form_lg,
+)
+_LGXS1 = _Variant(
+    sampling.random_lgxs1_connection,
+    sampling.random_semidirect_gauge,
+    _sd_group,
+    _sd_algebra,
+    connections.string_form_lgxs1,
+)
+
+
+def _twins(names: tuple[str, str], suite: str, anchor, tolerance: float):
+    """Register one body ``fn(cfg, rng, variant)`` as an LG check and its
+    LG x| S1 twin.  ``names`` is the (LG, LG x| S1) pair; ``anchor`` is one
+    anchor or such a pair.  Each twin keeps its own name, hence its own
+    generator."""
+    anchors = (anchor, anchor) if isinstance(anchor, str) else anchor
+
+    def wrap(fn):
+        for name, anc, variant in zip(names, anchors, (_LG, _LGXS1)):
+            _check(name, suite, anc, tolerance)(partial(fn, variant=variant))
+        return fn
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # lie suite
 # ---------------------------------------------------------------------------
 
 @_check("lie.bracket.jacobi", "lie", "algebra/jacobi-identity", 1e-13)
 def _lie_jacobi(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(50):
+    def trial():
         x, y, z = (sampling.random_algebra(rng, cfg.n) for _ in range(3))
         res = (
             liecore.bracket(x, liecore.bracket(y, z))
             + liecore.bracket(y, liecore.bracket(z, x))
             + liecore.bracket(z, liecore.bracket(x, y))
         )
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+        return np.max(np.abs(res))
+
+    return _worst_over(50, trial)
 
 
 @_check("lie.killing.ad_invariance", "lie", "algebra/invariant-form", 1e-10)
 def _lie_killing_ad(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(100):
+    def trial():
         g = sampling.random_group(rng, cfg.n)
         x, y = (sampling.random_algebra(rng, cfg.n) for _ in range(2))
-        worst = max(
-            worst,
-            abs(
-                liecore.killing(liecore.adjoint_group(g, x), liecore.adjoint_group(g, y))
-                - liecore.killing(x, y)
-            ),
+        return abs(
+            liecore.killing(liecore.adjoint_group(g, x), liecore.adjoint_group(g, y))
+            - liecore.killing(x, y)
         )
-    return worst
+
+    return _worst_over(100, trial)
 
 
 @_check("lie.exponential.unitarity", "lie", "algebra/exponential", 1e-12)
 def _lie_exp_unitary(cfg: RunConfig, rng) -> float:
-    worst = 0.0
+    residuals = []
     eye = np.eye(cfg.n)
     for scale in (0.5, 2.0, 10.0):
         x = sampling.random_algebra(rng, cfg.n)
         x *= scale / max(np.linalg.norm(x, 2), 1e-12)
         g = liecore.exponential(x)
-        worst = max(worst, float(np.max(np.abs(g @ g.conj().T - eye))))
-        worst = max(worst, abs(complex(np.linalg.det(g)) - 1.0))
-    return worst
+        residuals.append(np.max(np.abs(g @ g.conj().T - eye)))
+        residuals.append(abs(complex(np.linalg.det(g)) - 1.0))
+    return fc._worst(residuals)
 
 
 @_check("lie.invariant_poly.multilinear", "lie", "algebra/symmetrized-trace", 1e-12)
 def _lie_poly_multilinear(cfg: RunConfig, rng) -> float:
     f = liecore.InvariantPolynomial(3)
-    worst = 0.0
-    for _ in range(20):
+
+    def trial():
         x, y, z, w = (sampling.random_algebra(rng, 3) for _ in range(4))
         a, b = rng.standard_normal(2)
         lhs = liecore.eval_invariant_polynomial(f, [a * x + b * w, y, z])
         rhs = a * liecore.eval_invariant_polynomial(f, [x, y, z]) + b * (
             liecore.eval_invariant_polynomial(f, [w, y, z])
         )
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        return abs(lhs - rhs)
+
+    return _worst_over(20, trial)
 
 
 @_check("lie.invariant_poly.ad_invariance", "lie", "algebra/symmetrized-trace", 1e-10)
 def _lie_poly_ad(cfg: RunConfig, rng) -> float:
     f = liecore.InvariantPolynomial(3)
-    worst = 0.0
-    for _ in range(20):
+
+    def trial():
         g = sampling.random_group(rng, 3)
         args = [sampling.random_algebra(rng, 3) for _ in range(3)]
         moved = [liecore.adjoint_group(g, x) for x in args]
-        worst = max(
-            worst,
-            abs(
-                liecore.eval_invariant_polynomial(f, moved)
-                - liecore.eval_invariant_polynomial(f, args)
-            ),
+        return abs(
+            liecore.eval_invariant_polynomial(f, moved)
+            - liecore.eval_invariant_polynomial(f, args)
         )
-    return worst
+
+    return _worst_over(20, trial)
 
 
 @_check("lie.ad_invariance_lemma", "lie", "algebra/graded-expansion", 1e-10)
 def _lie_ad_lemma(cfg: RunConfig, rng) -> float:
-    worst = 0.0
     f2 = liecore.InvariantPolynomial(2)
     phis = [sampling.random_algebra(rng, 2) for _ in range(2)]
     a = sampling.random_algebra(rng, 2)
-    worst = max(worst, liecore.check_ad_invariance_identity(f2, phis, (1, 1), a, 1))
+    residuals = [liecore.check_ad_invariance_identity(f2, phis, (1, 1), a, 1)]
     f3 = liecore.InvariantPolynomial(3)
     for degrees, p in (((1, 2, 2), 1), ((1, 1, 2), 2), ((2, 1, 1), 1)):
         phis = [sampling.random_algebra(rng, 3) for _ in range(3)]
         a = sampling.random_algebra(rng, 3)
-        worst = max(worst, liecore.check_ad_invariance_identity(f3, phis, degrees, a, p))
-    return worst
+        residuals.append(liecore.check_ad_invariance_identity(f3, phis, degrees, a, p))
+    return fc._worst(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -188,106 +257,80 @@ def _lie_ad_lemma(cfg: RunConfig, rng) -> float:
 
 @_check("loops.derivative.integrates_to_zero", "loops", "circle/by-parts", 1e-12)
 def _loops_deriv_zero(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(10):
-        xi = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
-        val = lp.circle_integral(lp.loop_derivative(xi))
-        worst = max(worst, float(np.max(np.abs(val))))
-    return worst
+    def trial():
+        val = lp.circle_integral(lp.loop_derivative(_algebra_loop(cfg, rng)))
+        return np.max(np.abs(val))
+
+    return _worst_over(10, trial)
 
 
 @_check("loops.rotate.action", "loops", "circle/rotation-action", 1e-10)
 def _loops_rotate_action(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(5):
-        xi = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
+    def trial():
+        xi = _algebra_loop(cfg, rng)
         p1, p2 = rng.uniform(0, 2 * pi, 2)
         lhs = lp.rotate(p1, lp.rotate(p2, xi))
         rhs = lp.rotate(p1 + p2, xi)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        return np.max(np.abs(lhs - rhs))
+
+    return _worst_over(5, trial)
 
 
 @_check("loops.rotate.integral_invariance", "loops", "circle/rotation-invariance", 1e-10)
 def _loops_rotate_integral(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(5):
-        xi = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
-        zeta = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
+    def trial():
+        xi = _algebra_loop(cfg, rng)
+        zeta = _algebra_loop(cfg, rng)
         phi = rng.uniform(0, 2 * pi)
-        base = lp.circle_integral(
-            np.real(-np.einsum("jab,jba->j", xi, lp.loop_derivative(zeta)))
-        )
+        base = lp.circle_integral(fc.pairing(xi, lp.loop_derivative(zeta)))
         moved = lp.circle_integral(
-            np.real(
-                -np.einsum(
-                    "jab,jba->j",
-                    lp.rotate(phi, xi),
-                    lp.loop_derivative(lp.rotate(phi, zeta)),
-                )
-            )
+            fc.pairing(lp.rotate(phi, xi), lp.loop_derivative(lp.rotate(phi, zeta)))
         )
-        worst = max(worst, abs(base - moved))
-    return worst
+        return abs(base - moved)
+
+    return _worst_over(5, trial)
 
 
 @_check("loops.zmap.cocycle", "loops", "circle/log-derivative-cocycle", 1e-9)
 def _loops_zmap(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(5):
-        g1 = sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n)
-        g2 = sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n)
+    def trial():
+        g1 = _group_loop(cfg, rng)
+        g2 = _group_loop(cfg, rng)
         lhs = lp.z_map(g1 @ g2)
         rhs = lp.z_map(g1) + g1 @ lp.z_map(g2) @ lp.loop_inverse(g1)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        return np.max(np.abs(lhs - rhs))
+
+    return _worst_over(5, trial)
 
 
 @_check("loops.semidirect.jacobi", "loops", "semidirect/jacobi", 1e-10)
 def _loops_sd_jacobi(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(10):
-        elems = [
-            lp.SemiDirectAlgebraElement(
-                sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n),
-                float(rng.standard_normal()),
-            )
-            for _ in range(3)
-        ]
-        a, b, c = elems
+    def trial():
+        a, b, c = (_sd_algebra(cfg, rng) for _ in range(3))
         j = lp.semidirect_bracket(a, lp.semidirect_bracket(b, c)).loop_part
         j = j + lp.semidirect_bracket(b, lp.semidirect_bracket(c, a)).loop_part
         j = j + lp.semidirect_bracket(c, lp.semidirect_bracket(a, b)).loop_part
-        worst = max(worst, float(np.max(np.abs(j))))
-    return worst
+        return np.max(np.abs(j))
+
+    return _worst_over(10, trial)
 
 
 @_check("loops.semidirect.adjoint_homomorphism", "loops", "semidirect/adjoint", 1e-9)
 def _loops_sd_adjoint(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(5):
-        g = lp.SemiDirectGroupElement(
-            sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n),
-            rng.uniform(0, 2 * pi),
-        )
-        a = lp.SemiDirectAlgebraElement(
-            sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n),
-            float(rng.standard_normal()),
-        )
-        b = lp.SemiDirectAlgebraElement(
-            sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n),
-            float(rng.standard_normal()),
-        )
+    def trial():
+        g = _sd_group(cfg, rng)
+        a = _sd_algebra(cfg, rng)
+        b = _sd_algebra(cfg, rng)
         lhs = lp.semidirect_adjoint(g, lp.semidirect_bracket(a, b))
         rhs = lp.semidirect_bracket(
             lp.semidirect_adjoint(g, a), lp.semidirect_adjoint(g, b)
         )
-        worst = max(
-            worst,
-            float(np.max(np.abs(lhs.loop_part - rhs.loop_part))),
-            abs(lhs.circle_part - rhs.circle_part),
+        return fc._worst(
+            [np.max(np.abs(lhs.loop_part - rhs.loop_part)),
+             abs(lhs.circle_part - rhs.circle_part)]
         )
-    return worst
+
+    return _worst_over(5, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +403,12 @@ def _forms_alternating(cfg: RunConfig, rng) -> float:
     p = rng.standard_normal(dim)
     v = rng.standard_normal(dim)
     w = rng.standard_normal(dim)
-    worst = abs(fc.evaluate(omega, p, [v, v]))
-    worst = max(
-        worst,
-        abs(fc.evaluate(omega, p, [v, w]) + fc.evaluate(omega, p, [w, v])),
+    return fc._worst(
+        [
+            abs(fc.evaluate(omega, p, [v, v])),
+            abs(fc.evaluate(omega, p, [v, w]) + fc.evaluate(omega, p, [w, v])),
+        ]
     )
-    return float(worst)
 
 
 @_check("forms.pullback.naturality", "forms", "forms/pullback-naturality", 1e-6)
@@ -391,30 +434,20 @@ def _forms_pullback(cfg: RunConfig, rng) -> float:
 # string suite (connections module)
 # ---------------------------------------------------------------------------
 
-def _closedness_residual(cfg, rng, k: int, n: int) -> float:
+def _closedness_residual(cfg: RunConfig, rng, k: int, n: int | None) -> float:
     dim = 2 * k
-    c = sampling.random_lg_connection(rng, dim, cfg.samples, n, fd_step=cfg.fd_step)
-    f = liecore.InvariantPolynomial(k, 1.0 if k > 1 else 1.0)
-    s = connections.higher_string_form(f, k, c)
+    c = sampling.random_lg_connection(rng, dim, cfg.samples, n or cfg.n, fd_step=cfg.fd_step)
+    s = connections.higher_string_form(liecore.InvariantPolynomial(k), k, c)
     ds = fc.exterior_derivative(s, cfg.fd_step)
     pts = sampling.random_chart_points(rng, dim, 2)
     return fc.max_coeff(ds, pts)
 
 
-@_check("string.closed.k1", "string", "string-form/closedness", 1e-5)
-def _string_closed_k1(cfg: RunConfig, rng) -> float:
-    return _closedness_residual(cfg, rng, 1, cfg.n)
-
-
-@_check("string.closed.k2", "string", "string-form/closedness", 1e-5)
-def _string_closed_k2(cfg: RunConfig, rng) -> float:
-    return _closedness_residual(cfg, rng, 2, cfg.n)
-
-
-@_check("string.closed.k3", "string", "string-form/closedness", 1e-5)
-def _string_closed_k3(cfg: RunConfig, rng) -> float:
-    # the cubic symmetrized trace vanishes identically on su(2); run on su(3)
-    return _closedness_residual(cfg, rng, 3, 3)
+# the cubic symmetrized trace vanishes identically on su(2); k3 runs on su(3)
+for k, n in ((1, None), (2, None), (3, 3)):
+    _check(f"string.closed.k{k}", "string", "string-form/closedness", 1e-5)(
+        partial(_closedness_residual, k=k, n=n)
+    )
 
 
 @_check("string.higher_matches_degree3", "string", "string-form/degree-3-consistency", 1e-12)
@@ -445,29 +478,14 @@ def _string_independence(cfg: RunConfig, rng) -> float:
     return fc.max_coeff(diff, pts)
 
 
-@_check("string.gauge_invariance", "string", "string-form/descent", 1e-5)
-def _string_gauge(cfg: RunConfig, rng) -> float:
+@_twins(("string.gauge_invariance", "string.gauge_invariance_twisted"),
+        "string", "string-form/descent", 1e-5)
+def _string_gauge(cfg: RunConfig, rng, variant) -> float:
     dim = 3
-    c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    sigma = sampling.random_gauge_loop(rng, dim, cfg.samples, cfg.n)
+    c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+    sigma = variant.gauge(rng, dim, cfg.samples, cfg.n)
     ct = connections.gauge_transform(c, sigma)
-    diff = fc.form_sum(
-        [connections.string_form_lg(c), connections.string_form_lg(ct)], [1.0, -1.0]
-    )
-    pts = sampling.random_chart_points(rng, dim, 3)
-    return fc.max_coeff(diff, pts)
-
-
-@_check("string.gauge_invariance_twisted", "string", "string-form/descent", 1e-5)
-def _string_gauge_twisted(cfg: RunConfig, rng) -> float:
-    dim = 3
-    c = sampling.random_lgxs1_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    sigma = sampling.random_semidirect_gauge(rng, dim, cfg.samples, cfg.n)
-    ct = connections.gauge_transform(c, sigma)
-    diff = fc.form_sum(
-        [connections.string_form_lgxs1(c), connections.string_form_lgxs1(ct)],
-        [1.0, -1.0],
-    )
+    diff = fc.form_sum([variant.string_form(c), variant.string_form(ct)], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
 
@@ -504,69 +522,34 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
     nabla = connections.covariant_higgs_lg(c)
     g = chart.group_point(u)
 
-    h = cfg.fd_step
-    ti = chart.theta_index
-
-    def psi_coeffs(xx, uu):
-        gg = chart.group_point(uu)
-        out = np.zeros((chart.total_dim, cfg.samples, cfg.n, cfg.n), dtype=complex)
-        for i in range(dim):
-            out[i] = np.linalg.inv(gg) @ nabla.coeff(xx, (i,)) @ gg
-        return out
-
-    # horizontal probes of the base coordinate directions
+    # horizontal probes of the base coordinate directions, in (base, group)
+    # coordinates: they have no theta component
     A0 = field.coeffs(x, u)
-    mc = chart.maurer_cartan(u)
-    mat = np.stack([m.flatten() for m in mc], axis=1)
-
-    def vertical_u(value):
-        coeffs, *_ = np.linalg.lstsq(mat, value.flatten(), rcond=None)
-        return np.real(coeffs)
-
+    mat = np.stack([m.flatten() for m in chart.maurer_cartan(u)], axis=1)
     theta_idx = rng.integers(0, cfg.samples)
     probes = []
     for i in range(dim):
-        vec = np.zeros(chart.total_dim)
+        vec = np.zeros(dim + chart.group_dim)
         vec[i] = 1.0
-        val = A0[i][theta_idx]
-        vec[chart.base_dim + 1 :] = -vertical_u(val)
+        coeffs, *_ = np.linalg.lstsq(mat, A0[i][theta_idx].flatten(), rcond=None)
+        vec[dim:] = -np.real(coeffs)
         probes.append(vec)
 
-    # finite-difference d of psi on the extended chart, evaluated on probes
-    def dpsi_eval(v1, v2):
-        total = np.zeros((cfg.n, cfg.n), dtype=complex)
-        for I in range(chart.total_dim):
-            for J in range(I + 1, chart.total_dim):
-                w = v1[I] * v2[J] - v1[J] * v2[I]
-                if w == 0.0:
-                    continue
-                total += w * _dpsi_coeff(I, J)
-        return 0.5 * total
+    # psi = Ad(g^{-1}) nabla Phi at theta_idx as a 1-form on the (base, group)
+    # coordinates; without a theta component in the probes, theta drops out
+    # of d psi
+    zero = np.zeros((cfg.n, cfg.n), dtype=complex)
 
-    def psi_at(xx, uu):
-        return psi_coeffs(xx, uu)
+    def psi_coeff(p, idx):
+        (i,) = idx
+        if i >= dim:
+            return zero
+        gp = chart.group_point(p[dim:])
+        return (np.linalg.inv(gp) @ nabla.coeff(p[:dim], idx) @ gp)[theta_idx]
 
-    def _dpsi_coeff(I, J):
-        def partial(K, L):
-            if K == ti:
-                return lp.loop_derivative(psi_at(x, u)[L])[theta_idx]
-            if K < dim:
-                xs = x.copy()
-                xs[K] += h
-                hi = psi_at(xs, u)[L][theta_idx]
-                xs[K] -= 2 * h
-                lo = psi_at(xs, u)[L][theta_idx]
-                return (hi - lo) / (2 * h)
-            us = u.copy()
-            us[K - dim - 1] += h
-            hi = psi_at(x, us)[L][theta_idx]
-            us[K - dim - 1] -= 2 * h
-            lo = psi_at(x, us)[L][theta_idx]
-            return (hi - lo) / (2 * h)
-
-        return partial(I, J) - partial(J, I)
-
-    lhs = dpsi_eval(probes[0], probes[1])
+    psi = fc.FormField(1, dim + chart.group_dim, psi_coeff)
+    dpsi = fc.exterior_derivative(psi, cfg.fd_step)
+    lhs = fc.evaluate(dpsi, np.concatenate([x, u]), probes)
     Fval = F.coeff(x, (0, 1))
     phi = c.phi(x)
     comm = Fval @ phi - phi @ Fval
@@ -580,18 +563,20 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
 # caloron suite
 # ---------------------------------------------------------------------------
 
-@_check("caloron.transport", "caloron", "caloron/curvature-transport", 1e-4)
-def _caloron_transport(cfg: RunConfig, rng) -> float:
-    c = sampling.random_lg_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+@_twins(("caloron.transport", "caloron.transport_twisted"),
+        "caloron", ("caloron/curvature-transport", "caloron/twisted-transport"), 1e-4)
+def _caloron_transport(cfg: RunConfig, rng, variant) -> float:
+    c = variant.connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     pts = sampling.random_chart_points(rng, 2, 2)
     return caloron.g_curvature_transport_check(c, pts)
 
 
-@_check("caloron.transport.step_refinement", "caloron", "caloron/fd-convergence", 0.5)
-def _caloron_transport_refine(cfg: RunConfig, rng) -> float:
+@_twins(("caloron.transport.step_refinement", "caloron.transport_twisted.step_refinement"),
+        "caloron", "caloron/fd-convergence", 0.5)
+def _caloron_transport_refine(cfg: RunConfig, rng, variant) -> float:
     # ratio of residuals at steps h and h/2, taken where truncation
     # dominates round-off; ~0.25 for a second-order scheme
-    c = sampling.random_lg_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+    c = variant.connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     pts = sampling.random_chart_points(rng, 2, 1)
     chart1 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=2e-2)
     chart2 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=1e-2)
@@ -610,73 +595,40 @@ def _caloron_transport_g0(cfg: RunConfig, rng) -> float:
     return caloron.g_curvature_transport_check(c, pts, chart=chart, u=u)
 
 
-@_check("caloron.transport_twisted", "caloron", "caloron/twisted-transport", 1e-4)
-def _caloron_transport_twisted(cfg: RunConfig, rng) -> float:
-    c = sampling.random_lgxs1_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    pts = sampling.random_chart_points(rng, 2, 2)
-    return caloron.g_curvature_transport_check_twisted(c, pts)
-
-
-@_check("caloron.transport_twisted.step_refinement", "caloron", "caloron/fd-convergence", 0.5)
-def _caloron_transport_twisted_refine(cfg: RunConfig, rng) -> float:
-    c = sampling.random_lgxs1_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    pts = sampling.random_chart_points(rng, 2, 1)
-    chart1 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=2e-2)
-    chart2 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=1e-2)
-    r1 = caloron.g_curvature_transport_check_twisted(c, pts, chart=chart1)
-    r2 = caloron.g_curvature_transport_check_twisted(c, pts, chart=chart2)
-    return r2 / r1
-
-
 @_check("caloron.roundtrip", "caloron", "caloron/connection-roundtrip", 1e-10)
 def _caloron_roundtrip(cfg: RunConfig, rng) -> float:
     c = sampling.random_lg_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     back = caloron.from_g_connection(caloron.to_g_connection(c))
     pts = sampling.random_chart_points(rng, 2, 3)
-    worst = 0.0
+    residuals = []
     for p in pts:
         for i in range(2):
-            worst = max(
-                worst,
-                float(np.max(np.abs(back.A.coeff(p, (i,)) - c.A.coeff(p, (i,))))),
-            )
-        worst = max(worst, float(np.max(np.abs(back.phi(p) - c.phi(p)))))
-    return worst
+            residuals.append(np.max(np.abs(back.A.coeff(p, (i,)) - c.A.coeff(p, (i,)))))
+        residuals.append(np.max(np.abs(back.phi(p) - c.phi(p))))
+    return fc._worst(residuals)
 
 
 def _frame_eval_residual(form_a: fc.FormField, form_b: fc.FormField, rng, pts) -> float:
-    worst = 0.0
-    dim = form_a.dim
+    residuals = []
     for p in pts:
-        frame = [rng.standard_normal(dim) for _ in range(form_a.degree)]
+        frame = [rng.standard_normal(form_a.dim) for _ in range(form_a.degree)]
         va = fc.evaluate(form_a, p, frame)
         vb = fc.evaluate(form_b, p, frame)
-        worst = max(worst, float(np.max(np.abs(np.asarray(va) - np.asarray(vb)))))
-    return worst
+        residuals.append(np.max(np.abs(np.asarray(va) - np.asarray(vb))))
+    return fc._worst(residuals)
 
 
-@_check("caloron.pontrjagyn_matches_string", "caloron", "caloron/characteristic-integration", 1e-4)
-def _caloron_pont(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        c = sampling.random_lg_connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+@_twins(("caloron.pontrjagyn_matches_string", "caloron.pontrjagyn_matches_string_twisted"),
+        "caloron", "caloron/characteristic-integration", 1e-4)
+def _caloron_pont(cfg: RunConfig, rng, variant) -> float:
+    def trial():
+        c = variant.connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = connections.string_form_lg(c)
+        s = variant.string_form(c)
         pts = sampling.random_chart_points(rng, 3, 1)
-        worst = max(worst, _frame_eval_residual(p1, s, rng, pts))
-    return worst
+        return _frame_eval_residual(p1, s, rng, pts)
 
-
-@_check("caloron.pontrjagyn_matches_string_twisted", "caloron", "caloron/characteristic-integration", 1e-4)
-def _caloron_pont_twisted(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        c = sampling.random_lgxs1_connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-        p1 = caloron.pontrjagyn_fiber_integral_twisted(c)
-        s = connections.string_form_lgxs1(c)
-        pts = sampling.random_chart_points(rng, 3, 1)
-        worst = max(worst, _frame_eval_residual(p1, s, rng, pts))
-    return worst
+    return _worst_over(20, trial)
 
 
 @_check("caloron.loop_bundle_slice", "caloron", "caloron/loop-bundle-specialization", 1e-5)
@@ -703,12 +655,10 @@ def _caloron_loop_bundle_slice(cfg: RunConfig, rng) -> float:
         fd_step=cfg.fd_step,
     )
     pts = sampling.random_chart_points(rng, dim, 2)
-    transport = caloron.g_curvature_transport_check(
-        c, pts, chart=caloron.ExtendedChart(dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    )
+    transport = caloron.g_curvature_transport_check(c, pts)
     p1 = caloron.pontrjagyn_fiber_integral(c)
     s = connections.string_form_lg(c)
-    return max(transport, _frame_eval_residual(p1, s, rng, pts))
+    return fc._worst([transport, _frame_eval_residual(p1, s, rng, pts)])
 
 
 # ---------------------------------------------------------------------------
@@ -724,93 +674,82 @@ def _pathfib_coeff(cfg: RunConfig, rng) -> float:
     return 0.0
 
 
+def _generator_residual(cfg: RunConfig, rng, p, alpha) -> float:
+    frame = sampling.random_frame(rng, cfg.n, 3)
+    _, _, resid = pathfib.pf_string_class_vs_generator(p, frame, alpha)
+    return resid
+
+
 @_check("pathfib.generator", "pathfib", "path-fibration/degree-3-generator", 1e-8)
 def _pathfib_generator(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    alpha = pathfib.default_cutoff(N)
-    worst = 0.0
-    for i in range(50):
-        if i % 10 == 0:
-            xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.4)
-            p = pathfib.holonomy_path(xi)
-        frame = sampling.random_frame(rng, cfg.n, 3)
-        _, _, resid = pathfib.pf_string_class_vs_generator(p, frame, alpha)
-        worst = max(worst, resid)
-    return worst
+    alpha = pathfib.default_cutoff(cfg.pathfib_samples)
+
+    def path_trial():
+        p = pathfib.holonomy_path(_path_xi(cfg, rng))
+        return _worst_over(10, lambda: _generator_residual(cfg, rng, p, alpha))
+
+    return _worst_over(5, path_trial)
 
 
 @_check("pathfib.generator.cutoff_independence", "pathfib", "path-fibration/cutoff-independence", 1e-8)
 def _pathfib_cutoff(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    alpha = pathfib.alternate_cutoff(N)
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.4)
-    p = pathfib.holonomy_path(xi)
-    worst = 0.0
-    for _ in range(10):
-        frame = sampling.random_frame(rng, cfg.n, 3)
-        _, _, resid = pathfib.pf_string_class_vs_generator(p, frame, alpha)
-        worst = max(worst, resid)
-    return worst
+    alpha = pathfib.alternate_cutoff(cfg.pathfib_samples)
+    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+    return _worst_over(10, lambda: _generator_residual(cfg, rng, p, alpha))
 
 
 @_check("pathfib.cutoff_bridge_integral", "pathfib", "path-fibration/cutoff-normalization", 1e-10)
 def _pathfib_bridge(cfg: RunConfig, rng) -> float:
-    worst = 0.0
+    residuals = []
     for alpha in (pathfib.default_cutoff(cfg.pathfib_samples),
                   pathfib.alternate_cutoff(cfg.pathfib_samples)):
         val = lp.circle_integral(
             (alpha.values ** 2 - alpha.values) * alpha.derivative
         )
-        worst = max(worst, abs(val + 1.0 / 6.0))
-    return worst
+        residuals.append(abs(val + 1.0 / 6.0))
+    return fc._worst(residuals)
 
 
 @_check("pathfib.connection.horizontality", "pathfib", "path-fibration/horizontal-kernel", 1e-8)
 def _pathfib_horizontal(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    alpha = pathfib.default_cutoff(N)
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.4)
-    p = pathfib.holonomy_path(xi)
-    worst = 0.0
-    for _ in range(5):
+    alpha = pathfib.default_cutoff(cfg.pathfib_samples)
+    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+
+    def trial():
         V = sampling.random_algebra(rng, cfg.n)
         hX = pathfib.horizontal_tangent(p, V, alpha)
-        worst = max(worst, float(np.max(np.abs(pathfib.pf_connection(p, hX, alpha)))))
+        horizontal = np.max(np.abs(pathfib.pf_connection(p, hX, alpha)))
         # fundamental vectors of based loops are reproduced exactly
-        based = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3)
+        based = _path_xi(cfg, rng, scale=0.5)
         based = based - based[0]
         X = pathfib.tangent_from_based_loop(p, based)
-        worst = max(
-            worst,
-            float(np.max(np.abs(pathfib.pf_connection(p, X, alpha) - based))),
+        return fc._worst(
+            [horizontal, np.max(np.abs(pathfib.pf_connection(p, X, alpha) - based))]
         )
-    return worst
+
+    return _worst_over(5, trial)
 
 
 @_check("pathfib.holonomy.roundtrip", "pathfib", "path-fibration/holonomy-roundtrip", 1e-8)
 def _pathfib_roundtrip(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    worst = 0.0
-    for _ in range(3):
-        xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.5)
+    def trial():
+        xi = _path_xi(cfg, rng, scale=0.5)
         p = pathfib.holonomy_path(xi)
-        worst = max(worst, float(np.max(np.abs(pathfib.pf_higgs(p) - xi))))
-    return worst
+        return np.max(np.abs(pathfib.pf_higgs(p) - xi))
+
+    return _worst_over(3, trial)
 
 
 @_check("pathfib.holonomy.unitarity", "pathfib", "path-fibration/holonomy-unitarity", 1e-10)
 def _pathfib_unitary(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.5)
-    _, endpoint = pathfib.higgs_holonomy(xi)
+    _, endpoint = pathfib.higgs_holonomy(_path_xi(cfg, rng, scale=0.5))
     return float(np.max(np.abs(endpoint @ endpoint.conj().T - np.eye(cfg.n))))
 
 
 @_check("pathfib.holonomy.equivariance", "pathfib", "path-fibration/holonomy-equivariance", 1e-7)
 def _pathfib_equivariance(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.5)
-    eta = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.5)
+    xi = _path_xi(cfg, rng, scale=0.5)
+    eta = _path_xi(cfg, rng, scale=0.5)
     eta = eta - eta[0]  # based loop generator
     hloop = lp.exp_loop(eta)
     moved = (
@@ -827,10 +766,8 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     # vertical probe at suite resolution; horizontal probe on a finer grid
     # because the cutoff spectrum decays only subgeometrically
     h = 1e-5
-    N = cfg.pathfib_samples
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.4)
-    p = pathfib.holonomy_path(xi)
-    based = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.5)
+    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+    based = _path_xi(cfg, rng, scale=0.5)
     based = based - based[0]
 
     def vdeform(t):
@@ -839,9 +776,8 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     dphi = (pathfib.pf_higgs(vdeform(h)) - pathfib.pf_higgs(vdeform(-h))) / (2 * h)
     phi = pathfib.pf_higgs(p)
     vert = dphi + (based @ phi - phi @ based) - lp.loop_derivative(based)
-    worst = float(np.max(np.abs(vert)))
 
-    M = max(4 * N, 1024)
+    M = max(4 * cfg.pathfib_samples, 1024)
     alpha = pathfib.default_cutoff(M)
     xi2 = sampling.bandlimited_algebra_loop(rng, M, cfg.n, kmax=3, scale=0.4)
     p2 = pathfib.holonomy_path(xi2)
@@ -855,175 +791,104 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
 
     dphi2 = (pathfib.pf_higgs(hdeform(h)) - pathfib.pf_higgs(hdeform(-h))) / (2 * h)
     want = pathfib.pf_nabla_phi(p2, V, alpha)
-    return max(worst, float(np.max(np.abs(dphi2 - want))))
+    return fc._worst([np.max(np.abs(vert)), np.max(np.abs(dphi2 - want))])
 
 
-@_check("pathfib.higher_transgression.k2", "pathfib", "transgression/frame-match", 1e-6)
-def _pathfib_tau_k2(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    alpha = pathfib.default_cutoff(N)
-    xi = sampling.bandlimited_algebra_loop(rng, N, cfg.n, kmax=3, scale=0.4)
-    p = pathfib.holonomy_path(xi)
-    f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
-    worst = 0.0
-    for _ in range(5):
-        frame = sampling.random_frame(rng, cfg.n, 3)
-        _, _, resid = pathfib.pf_higher_string_vs_transgression(f, 2, p, frame, alpha)
-        worst = max(worst, resid)
-    return worst
+def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: int,
+                           n: int | None) -> float:
+    alpha = pathfib.default_cutoff(cfg.pathfib_samples)
+    p = pathfib.holonomy_path(_path_xi(cfg, rng, n))
+    f = liecore.InvariantPolynomial(k, scale)
+
+    def trial():
+        frame = sampling.random_frame(rng, n or cfg.n, 2 * k - 1)
+        _, _, resid = pathfib.pf_higher_string_vs_transgression(f, k, p, frame, alpha)
+        return resid
+
+    return _worst_over(trials, trial)
 
 
-@_check("pathfib.higher_transgression.k3", "pathfib", "transgression/frame-match", 1e-6)
-def _pathfib_tau_k3(cfg: RunConfig, rng) -> float:
-    N = cfg.pathfib_samples
-    alpha = pathfib.default_cutoff(N)
-    xi = sampling.bandlimited_algebra_loop(rng, N, 3, kmax=3, scale=0.4)
-    p = pathfib.holonomy_path(xi)
-    f = liecore.InvariantPolynomial(3, 1.0)
-    worst = 0.0
-    for _ in range(3):
-        frame = sampling.random_frame(rng, 3, 5)
-        _, _, resid = pathfib.pf_higher_string_vs_transgression(f, 3, p, frame, alpha)
-        worst = max(worst, resid)
-    return worst
+for k, scale, trials, n in ((2, -1.0 / (8.0 * pi ** 2), 5, None), (3, 1.0, 3, 3)):
+    _check(f"pathfib.higher_transgression.k{k}", "pathfib", "transgression/frame-match", 1e-6)(
+        partial(_transgression_residual, k=k, scale=scale, trials=trials, n=n)
+    )
+del k, n, scale, trials
 
 
 # ---------------------------------------------------------------------------
 # centralext suite
 # ---------------------------------------------------------------------------
 
-def _random_lg_point_tangent(cfg, rng, slots):
-    pts = tuple(
-        sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n) for _ in range(slots)
-    )
-    tans = tuple(
-        sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n) for _ in range(slots)
-    )
-    return pts, tans
+@_twins(("centralext.dalpha_matches_deltaR.lg", "centralext.dalpha_matches_deltaR.lgxs1"),
+        "centralext", "central-extension/connection-compatibility", 1e-5)
+def _ce_dalpha(cfg: RunConfig, rng, variant) -> float:
+    def trial():
+        pts, tx = _point_tangent(cfg, rng, variant, 2)
+        _, ty = _point_tangent(cfg, rng, variant, 2)
+        return centralext.d_alpha_vs_delta_r(pts, tx, ty, cfg.fd_step)
+
+    return _worst_over(20, trial)
 
 
-def _random_sd_point_tangent(cfg, rng, slots):
-    pts = tuple(
-        lp.SemiDirectGroupElement(
-            sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n),
-            rng.uniform(0, 2 * pi),
-        )
-        for _ in range(slots)
-    )
-    tans = tuple(
-        lp.SemiDirectAlgebraElement(
-            sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n),
-            float(rng.standard_normal()),
-        )
-        for _ in range(slots)
-    )
-    return pts, tans
+@_twins(("centralext.delta_alpha_zero.lg", "centralext.delta_alpha_zero.lgxs1"),
+        "centralext", "central-extension/cocycle-closure", 1e-6)
+def _ce_delta_alpha(cfg: RunConfig, rng, variant) -> float:
+    def trial():
+        pts, tans = _point_tangent(cfg, rng, variant, 3)
+        return centralext.verify_delta_alpha_zero(pts, tans, cfg.fd_step)
 
-
-@_check("centralext.dalpha_matches_deltaR.lg", "centralext", "central-extension/connection-compatibility", 1e-5)
-def _ce_dalpha_lg(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        pts, tx = _random_lg_point_tangent(cfg, rng, 2)
-        _, ty = _random_lg_point_tangent(cfg, rng, 2)
-        worst = max(worst, centralext.d_alpha_vs_delta_r(pts, tx, ty))
-    return worst
-
-
-@_check("centralext.dalpha_matches_deltaR.lgxs1", "centralext", "central-extension/connection-compatibility", 1e-5)
-def _ce_dalpha_sd(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        pts, tx = _random_sd_point_tangent(cfg, rng, 2)
-        _, ty = _random_sd_point_tangent(cfg, rng, 2)
-        worst = max(worst, centralext.d_alpha_vs_delta_r(pts, tx, ty))
-    return worst
-
-
-@_check("centralext.delta_alpha_zero.lg", "centralext", "central-extension/cocycle-closure", 1e-6)
-def _ce_delta_alpha_lg(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        pts, tans = _random_lg_point_tangent(cfg, rng, 3)
-        worst = max(worst, centralext.verify_delta_alpha_zero(pts, tans))
-    return worst
-
-
-@_check("centralext.delta_alpha_zero.lgxs1", "centralext", "central-extension/cocycle-closure", 1e-6)
-def _ce_delta_alpha_sd(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(20):
-        pts, tans = _random_sd_point_tangent(cfg, rng, 3)
-        worst = max(worst, centralext.verify_delta_alpha_zero(pts, tans))
-    return worst
+    return _worst_over(20, trial)
 
 
 @_check("centralext.delta_squared_zero", "centralext", "simplicial/delta-squared", 1e-6)
 def _ce_delta_sq(cfg: RunConfig, rng) -> float:
-    probe = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
+    probe = _algebra_loop(cfg, rng)
 
     def test_form(points, tangents):
         # a deliberately non-closed scalar 1-form on G^2
         val = lp.circle_integral(
-            np.real(-np.einsum("jab,jba->j", tangents[0], lp.z_map(points[1])))
-            + 0.5 * np.real(-np.einsum("jab,jba->j", tangents[1], points[0] @ probe @ lp.loop_inverse(points[0])))
+            fc.pairing(tangents[0], lp.z_map(points[1]))
+            + 0.5 * fc.pairing(tangents[1], points[0] @ probe @ lp.loop_inverse(points[0]))
         )
         return float(val)
 
-    d1 = centralext.delta_of(test_form)
-    worst = 0.0
-    for _ in range(5):
-        pts, tans = _random_lg_point_tangent(cfg, rng, 4)
-        worst = max(worst, abs(centralext.simplicial_delta_eval(d1, pts, tans)))
-    return worst
+    d1 = centralext.delta_of(test_form, cfg.fd_step)
+
+    def trial():
+        pts, tans = _point_tangent(cfg, rng, _LG, 4)
+        return abs(centralext.simplicial_delta_eval(d1, pts, tans, cfg.fd_step))
+
+    return _worst_over(5, trial)
 
 
 @_check("centralext.rform.rotation_invariance", "centralext", "central-extension/rotation-invariance", 1e-10)
 def _ce_rform_rot(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(10):
-        xi = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
-        zeta = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
-        gamma = sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n)
+    def trial():
+        xi = _algebra_loop(cfg, rng)
+        zeta = _algebra_loop(cfg, rng)
+        gamma = _group_loop(cfg, rng)
         phi = rng.uniform(0, 2 * pi)
         base = centralext.r_form(gamma, xi, zeta)
         moved = centralext.r_form(gamma, lp.rotate(phi, xi), lp.rotate(phi, zeta))
-        worst = max(worst, abs(base - moved))
-    return worst
+        return abs(base - moved)
+
+    return _worst_over(10, trial)
 
 
-@_check("centralext.delta_epsilon.lg", "centralext", "lifting-gerbe/connection-correction", 1e-5)
-def _ce_eps_lg(cfg: RunConfig, rng) -> float:
+@_twins(("centralext.delta_epsilon.lg", "centralext.delta_epsilon.lgxs1"),
+        "centralext", "lifting-gerbe/connection-correction", 1e-5)
+def _ce_eps(cfg: RunConfig, rng, variant) -> float:
     dim = 2
-    worst = 0.0
-    for _ in range(20):
-        c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-        tau12 = sampling.random_gauge_loop(rng, dim, cfg.samples, cfg.n)
-        tau23 = sampling.random_gauge_loop(rng, dim, cfg.samples, cfg.n)
+
+    def trial():
+        c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+        tau12 = variant.gauge(rng, dim, cfg.samples, cfg.n)
+        tau23 = variant.gauge(rng, dim, cfg.samples, cfg.n)
         point = 0.3 * rng.standard_normal(dim)
         X = rng.standard_normal(dim)
-        worst = max(
-            worst,
-            centralext.delta_epsilon_vs_tau_alpha(c, tau12, tau23, point, X),
-        )
-    return worst
+        return centralext.delta_epsilon_vs_tau_alpha(c, tau12, tau23, point, X)
 
-
-@_check("centralext.delta_epsilon.lgxs1", "centralext", "lifting-gerbe/connection-correction", 1e-5)
-def _ce_eps_sd(cfg: RunConfig, rng) -> float:
-    dim = 2
-    worst = 0.0
-    for _ in range(20):
-        c = sampling.random_lgxs1_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-        tau12 = sampling.random_semidirect_gauge(rng, dim, cfg.samples, cfg.n)
-        tau23 = sampling.random_semidirect_gauge(rng, dim, cfg.samples, cfg.n)
-        point = 0.3 * rng.standard_normal(dim)
-        X = rng.standard_normal(dim)
-        worst = max(
-            worst,
-            centralext.delta_epsilon_vs_tau_alpha(c, tau12, tau23, point, X),
-        )
-    return worst
+    return _worst_over(20, trial)
 
 
 @_check("centralext.splitting_curving_matches_direct", "centralext", "curving/reduced-splitting", 1e-6)
@@ -1039,37 +904,21 @@ def _ce_splitting_curving(cfg: RunConfig, rng) -> float:
 
 @_check("centralext.reduced_splitting.transformation", "centralext", "curving/splitting-equivariance", 1e-6)
 def _ce_ell(cfg: RunConfig, rng) -> float:
-    worst = 0.0
-    for _ in range(10):
-        phi = sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n)
-        g = lp.SemiDirectGroupElement(
-            sampling.bandlimited_group_loop(rng, cfg.samples, cfg.n),
-            rng.uniform(0, 2 * pi),
-        )
-        a = lp.SemiDirectAlgebraElement(
-            sampling.bandlimited_algebra_loop(rng, cfg.samples, cfg.n),
-            float(rng.standard_normal()),
-        )
-        worst = max(
-            worst, centralext.reduced_splitting_transformation_residual(phi, g, a)
-        )
-    return worst
+    def trial():
+        phi = _algebra_loop(cfg, rng)
+        g = _sd_group(cfg, rng)
+        a = _sd_algebra(cfg, rng)
+        return centralext.reduced_splitting_transformation_residual(phi, g, a)
+
+    return _worst_over(10, trial)
 
 
-@_check("centralext.descent.lg", "centralext", "curving/three-form-descent", 1e-4)
-def _ce_descent_lg(cfg: RunConfig, rng) -> float:
+@_twins(("centralext.descent.lg", "centralext.descent.lgxs1"),
+        "centralext", "curving/three-form-descent", 1e-4)
+def _ce_descent(cfg: RunConfig, rng, variant) -> float:
     dim = 3
-    c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    sigma = sampling.random_gauge_loop(rng, dim, cfg.samples, cfg.n)
-    pts = sampling.random_chart_points(rng, dim, 2)
-    return centralext.three_curvature_descent_check(c, pts, sigma=sigma)
-
-
-@_check("centralext.descent.lgxs1", "centralext", "curving/three-form-descent", 1e-4)
-def _ce_descent_sd(cfg: RunConfig, rng) -> float:
-    dim = 3
-    c = sampling.random_lgxs1_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    sigma = sampling.random_semidirect_gauge(rng, dim, cfg.samples, cfg.n)
+    c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+    sigma = variant.gauge(rng, dim, cfg.samples, cfg.n)
     pts = sampling.random_chart_points(rng, dim, 2)
     return centralext.three_curvature_descent_check(c, pts, sigma=sigma)
 
@@ -1118,32 +967,24 @@ def run_suite(config: RunConfig) -> VerificationReport:
     )
 
 
+# CheckRecord fields in order, as json keys and csv columns
+_COLUMNS = ("name", "anchor", "residual", "tolerance", "pass", "millis")
+
+
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     if fmt == "json":
         payload = {
             "config": report.config,
             "seed": report.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "anchor": c.anchor,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                    "millis": c.millis,
-                }
-                for c in report.checks
-            ],
+            "checks": [dict(zip(_COLUMNS, astuple(c))) for c in report.checks],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["name", "anchor", "residual", "tolerance", "pass", "millis"])
-        for c in report.checks:
-            writer.writerow(
-                [c.name, c.anchor, repr(c.residual), repr(c.tolerance), c.passed, f"{c.millis:.3f}"]
-            )
+        writer.writerow(_COLUMNS)
+        for name, anchor, residual, tol, passed, millis in map(astuple, report.checks):
+            writer.writerow([name, anchor, repr(residual), repr(tol), passed, f"{millis:.3f}"])
         return buf.getvalue()
     if fmt == "text":
         lines = [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestAssembly:
 
     def test_twisted_base_readout_couples_a(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection_twisted(c)
+        field = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
         coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
         phi = c.phi(x)
@@ -48,7 +50,7 @@ class TestAssembly:
 
     def test_twisted_theta_readout(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection_twisted(c)
+        field = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
         coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
         assert np.max(np.abs(coeffs[field.chart.theta_index] - c.phi(x))) < 1e-14
@@ -59,7 +61,7 @@ class TestAssembly:
             base.A, fc.FormField(1, 2, lambda p, idx: 0.0), base.phi, 2, N, 2
         )
         f1 = caloron.to_g_connection(base)
-        f2 = caloron.to_g_connection_twisted(ext)
+        f2 = caloron.to_g_connection(ext)
         x = 0.3 * RNG.standard_normal(2)
         u = 0.2 * RNG.standard_normal(f1.chart.group_dim)
         assert np.max(np.abs(f1.coeffs(x, u) - f2.coeffs(x, u))) < 1e-13
@@ -91,10 +93,18 @@ class TestTransport:
         pts = [0.3 * RNG.standard_normal(2)]
         assert caloron.g_curvature_transport_check(c, pts, chart=chart, u=u) < 1e-4
 
+    def test_default_chart_takes_data_step(self):
+        c = replace(sampling.random_lgxs1_connection(RNG, 2, N, 2), fd_step=1e-3)
+        pts = [0.3 * RNG.standard_normal(2)]
+        chart = caloron.ExtendedChart(2, N, 2, fd_step=1e-3)
+        assert caloron.g_curvature_transport_check(c, pts) == (
+            caloron.g_curvature_transport_check(c, pts, chart=chart)
+        )
+
     def test_twisted_random_data(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
         pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]
-        assert caloron.g_curvature_transport_check_twisted(c, pts) < 1e-4
+        assert caloron.g_curvature_transport_check(c, pts) < 1e-4
 
     def test_twisted_reduces_to_untwisted(self):
         base = sampling.random_lg_connection(RNG, 2, N, 2)
@@ -103,7 +113,7 @@ class TestTransport:
         )
         pts = [0.3 * RNG.standard_normal(2)]
         r1 = caloron.g_curvature_transport_check(base, pts)
-        r2 = caloron.g_curvature_transport_check_twisted(ext, pts)
+        r2 = caloron.g_curvature_transport_check(ext, pts)
         assert abs(r1 - r2) < 1e-10
 
     def test_twisted_term_isolation(self):
@@ -119,7 +129,7 @@ class TestTransport:
             dim, N, 2,
         )
         pts = [0.3 * RNG.standard_normal(dim)]
-        assert caloron.g_curvature_transport_check_twisted(c, pts) < 1e-4
+        assert caloron.g_curvature_transport_check(c, pts) < 1e-4
 
 
 class TestRoundTrip:
@@ -187,7 +197,7 @@ class TestPontrjagyn:
 
     def test_twisted_matches_string_form(self):
         c = sampling.random_lgxs1_connection(RNG, 3, N, 2)
-        p1 = caloron.pontrjagyn_fiber_integral_twisted(c)
+        p1 = caloron.pontrjagyn_fiber_integral(c)
         s = cn.string_form_lgxs1(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
@@ -198,7 +208,7 @@ class TestPontrjagyn:
             base.A, fc.FormField(1, 3, lambda p, idx: 0.0), base.phi, 3, N, 2
         )
         f1 = caloron.pontrjagyn_fiber_integral(base)
-        f2 = caloron.pontrjagyn_fiber_integral_twisted(ext)
+        f2 = caloron.pontrjagyn_fiber_integral(ext)
         diff = fc.form_sum([f1, f2], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-12
 

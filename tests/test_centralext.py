@@ -331,3 +331,30 @@ class TestDescent:
         pts = [0.3 * RNG.standard_normal(3) for _ in range(2)]
         sigma = sampling.random_semidirect_gauge(RNG, 3, N, 2)
         assert ce.three_curvature_descent_check(c, pts, sigma=sigma) < 1e-4
+
+
+class TestStep:
+    # checks of the centralext suite that take central differences
+    FD_CHECKS = [
+        "centralext.dalpha_matches_deltaR.lg",
+        "centralext.dalpha_matches_deltaR.lgxs1",
+        "centralext.delta_alpha_zero.lg",
+        "centralext.delta_alpha_zero.lgxs1",
+        "centralext.delta_epsilon.lg",
+        "centralext.delta_epsilon.lgxs1",
+        "centralext.delta_squared_zero",
+        "centralext.descent.lg",
+        "centralext.descent.lgxs1",
+        "centralext.splitting_curving_matches_direct",
+    ]
+
+    def test_step_reaches_every_stencil(self):
+        from loopforms import report as rp
+
+        residuals = {}
+        for h in (1e-4, 1e-3):
+            rep = rp.run_suite(rp.RunConfig(suite="centralext", samples=16, fd_step=h))
+            residuals[h] = {c.name: c.residual for c in rep.checks}
+        for name, r in residuals[1e-4].items():
+            moved = r != residuals[1e-3][name]
+            assert moved == (name in self.FD_CHECKS), name

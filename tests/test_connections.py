@@ -244,7 +244,7 @@ class TestLGxS1:
     def test_covariant_higgs_reduction_and_twist(self):
         dim = 2
         c = sampling.random_lgxs1_connection(RNG, dim, N, 2)
-        base = cn.reduce_to_lg(c)
+        base = cn.LGConnectionData(c.A, c.phi, c.dim, c.N, c.n, c.fd_step)
         nab_ext = cn.covariant_higgs_lgxs1(c)
         nab_base = cn.covariant_higgs_lg(base)
         p = 0.3 * RNG.standard_normal(dim)

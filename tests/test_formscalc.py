@@ -312,3 +312,9 @@ class TestCylinder:
 def _mb(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a @ b - b @ a
+
+
+class TestMaxCoeff:
+    def test_nan_coefficient_is_not_dropped(self):
+        form = fc.FormField(1, 2, lambda p, idx: np.nan if idx == (1,) else 0.0)
+        assert np.isnan(fc.max_coeff(form, [np.zeros(2)]))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from loopforms import report as rp
 from loopforms.cli import main as cli_main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args, env_extra=None):
@@ -86,6 +88,29 @@ class TestRunSuite:
     def test_pass_flag_consistent(self, lie_report):
         for c in lie_report.checks:
             assert c.passed == (c.residual <= c.tolerance)
+
+
+class TestRegistry:
+    def test_matches_golden_registry(self):
+        # check names seed the per-check generators: a renamed check
+        # silently draws different data
+        golden = json.loads((Path(__file__).parent / "golden" / "check_registry.json").read_text())
+        registry = [
+            {"name": name, "suite": suite, "anchor": anchor, "tolerance": tol}
+            for name, suite, anchor, tol, _ in sorted(rp.checks_for("all"))
+        ]
+        assert registry == golden
+
+    def test_nan_trial_fails_the_check(self, monkeypatch):
+        trials = iter([1e-20, math.nan, 1e-20])
+
+        def check(cfg, rng):
+            return rp._worst_over(3, lambda: next(trials))
+
+        monkeypatch.setattr(rp, "_REGISTRY", [("lie.nan_trial", "lie", "x/y", 1e-10, check)])
+        (rec,) = rp.run_suite(rp.RunConfig(suite="lie")).checks
+        assert math.isnan(rec.residual)
+        assert not rec.passed
 
 
 class TestEmit:
@@ -234,3 +259,35 @@ class TestCLI:
         assert proc.returncode == 0
         first = proc.stdout.splitlines()[0]
         assert first == "name,anchor,residual,tolerance,pass,millis"
+
+
+class TestDiffReports:
+    def run_diff(self, tmp_path, before, after):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(before))
+        b.write_text(json.dumps(after))
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "diff_reports.py"), str(a), str(b)],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_identical_reports_agree(self, tmp_path, lie_report):
+        payload = json.loads(rp.emit_report(lie_report, "json"))
+        proc = self.run_diff(tmp_path, payload, payload)
+        assert proc.returncode == 0
+
+    def test_every_kind_of_difference_is_listed(self, tmp_path, lie_report):
+        before = json.loads(rp.emit_report(lie_report, "json"))
+        after = json.loads(rp.emit_report(lie_report, "json"))
+        removed = after["checks"].pop()
+        after["checks"][0]["residual"] = math.nextafter(after["checks"][0]["residual"], 1.0)
+        after["checks"][1]["tolerance"] *= 2.0
+        after["checks"][2]["anchor"] = "moved/anchor"
+        proc = self.run_diff(tmp_path, before, after)
+        assert proc.returncode == 1
+        out = proc.stdout
+        assert f"removed: {removed['name']}" in out
+        assert f"residual changed: {before['checks'][0]['name']}" in out
+        assert f"tolerance changed: {before['checks'][1]['name']}" in out
+        assert f"anchor changed: {before['checks'][2]['name']}" in out
