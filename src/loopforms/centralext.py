@@ -232,12 +232,9 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
     """Exterior derivative of alpha on left-invariant extensions:
     d alpha(X, Y) = (1/2)(X(alpha(Y)) - Y(alpha(X)) - alpha([X, Y]))."""
 
-    def alpha_at(pts, tans):
-        return alpha_form(pts, tans)
-
     def directional(tans_flow, tans_eval):
-        plus = alpha_at(_flow_tuple(points, tans_flow, h), tans_eval)
-        minus = alpha_at(_flow_tuple(points, tans_flow, -h), tans_eval)
+        plus = alpha_form(_flow_tuple(points, tans_flow, h), tans_eval)
+        minus = alpha_form(_flow_tuple(points, tans_flow, -h), tans_eval)
         return (plus - minus) / (2.0 * h)
 
     if _is_semidirect(points[0]):
@@ -249,7 +246,7 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
     return 0.5 * (
         directional(tans_x, tans_y)
         - directional(tans_y, tans_x)
-        - alpha_at(points, bracket)
+        - alpha_form(points, bracket)
     )
 
 

@@ -54,6 +54,9 @@ class RunConfig:
             raise ConfigError(
                 f"unknown suite {self.suite!r}; choose from {sorted(SUITES)} or 'all'"
             )
+        unknown = set(self.tolerance_overrides) - {entry[0] for entry in _REGISTRY}
+        if unknown:
+            raise ConfigError(f"unknown check names in tolerance_overrides: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)

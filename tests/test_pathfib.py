@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -175,6 +177,80 @@ class TestHolonomy:
         g1, _ = pf.higgs_holonomy(moved)
         g0, _ = pf.higgs_holonomy(xi)
         assert np.max(np.abs(g1 - g0 @ h)) < 1e-7
+
+    @pytest.mark.parametrize("n_samples", [64, 512])
+    def test_noncommuting_closed_form(self, n_samples):
+        # xi = e^{-tB} A e^{tB} + B has holonomy g(t) = e^{tA} e^{tB}, and
+        # its values at two times do not commute.  Error model: global
+        # O(h^4) Magnus truncation (constant below 1 for |xi| = O(1)) plus
+        # the round-off of the M-step product, M eps.
+        A = sampling.random_algebra(RNG, 2, 0.8)
+        B = np.diag([1j, -1j])
+        theta = lp.grid(n_samples)
+        xi = np.stack([exponential(-t * B) @ A @ exponential(t * B) + B for t in theta])
+        g, endpoint = pf.higgs_holonomy(xi)
+        M = 8 * n_samples
+        tol = (2 * np.pi / M) ** 4 + M * np.finfo(float).eps
+        want = np.stack([exponential(t * A) @ exponential(t * B) for t in theta])
+        assert np.max(np.abs(g - want)) < tol
+        assert np.max(np.abs(endpoint - exponential(2 * np.pi * A))) < tol
+
+
+class TestSpectralUpsample:
+    @pytest.mark.parametrize("M", [32, 128])
+    @pytest.mark.parametrize("shift", [0.0, 0.0137, -0.4])
+    def test_band_limited_loop_at_offset_nodes(self, M, shift):
+        # every mode of a 32-sample grid, the Nyquist mode as its cosine
+        N = 32
+        modes = [(k, sampling.random_algebra(RNG, 2), sampling.random_algebra(RNG, 2))
+                 for k in range(N // 2)]
+        nyquist = sampling.random_algebra(RNG, 2)
+
+        def loop(t):
+            out = np.cos(N / 2 * t)[:, None, None] * nyquist
+            for k, c, s in modes:
+                out = out + np.cos(k * t)[:, None, None] * c + np.sin(k * t)[:, None, None] * s
+            return out
+
+        got = pf._spectral_upsample(loop(lp.grid(N)), M, shift)
+        assert np.max(np.abs(got - loop(lp.grid(M) + shift))) < 1e-12
+
+
+def _brute_antisym(contractions, degrees, frame):
+    """(1/Q!) sum over all Q! permutations, with the sign of each."""
+    Q = sum(degrees)
+    total = 0.0
+    for perm in permutations(range(Q)):
+        inversions = sum(perm[i] > perm[j] for i in range(Q) for j in range(i + 1, Q))
+        blocks, pos = [], 0
+        for q in degrees:
+            blocks.append(tuple(frame[i] for i in perm[pos : pos + q]))
+            pos += q
+        total += (-1) ** inversions * contractions(blocks)
+    return total / factorial(Q)
+
+
+class TestAntisymEval:
+    @pytest.mark.parametrize("degrees", [(2, 1), (1, 2), (1, 2, 2)])
+    def test_shuffles_match_all_permutations(self, degrees):
+        # contractions antisymmetric in each 2-slot (a@b - b@a), otherwise
+        # generic: complex traces against fixed random weights
+        n = 3
+        weights = [RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+                   for _ in degrees]
+
+        def contraction(blocks):
+            out = np.eye(n, dtype=complex)
+            for blk, w in zip(blocks, weights):
+                slot = blk[0] if len(blk) == 1 else blk[0] @ blk[1] - blk[1] @ blk[0]
+                out = out @ slot @ w
+            return np.trace(out)
+
+        frame = sampling.random_frame(RNG, n, sum(degrees))
+        got = pf._antisym_eval(contraction, degrees, frame)
+        want = _brute_antisym(contraction, degrees, frame)
+        assert abs(want) > 1e-3
+        assert abs(got - want) < 1e-14 * factorial(sum(degrees)) * max(1.0, abs(want))
 
 
 class TestNablaPhi:

@@ -85,6 +85,13 @@ class TestRunSuite:
         failed = [c for c in report.checks if not c.passed]
         assert [c.name for c in failed] == ["lie.bracket.jacobi"]
 
+    def test_unknown_override_name_rejected(self):
+        cfg = rp.RunConfig(suite="lie", tolerance_overrides={"lie.bracket.jacobbi": 0.0})
+        with pytest.raises(rp.ConfigError, match="lie.bracket.jacobbi"):
+            cfg.validate()
+        with pytest.raises(rp.ConfigError):
+            rp.run_suite(cfg)
+
     def test_pass_flag_consistent(self, lie_report):
         for c in lie_report.checks:
             assert c.passed == (c.residual <= c.tolerance)
@@ -229,6 +236,19 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"spam": 1}))
         code = cli_main(["verify", "--config", str(cfgfile)])
         assert code == 2
+
+    def test_unknown_override_name_exit_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(
+            json.dumps({"tolerance_overrides": {"lie.bracket.jacobbi": 0.0}})
+        )
+        out = tmp_path / "r.json"
+        code = cli_main(
+            ["verify", "--suite", "lie", "--config", str(cfgfile), "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "lie.bracket.jacobbi" in capsys.readouterr().err
 
     def test_table_subcommand(self, tmp_path):
         out = tmp_path / "t.csv"
