@@ -114,94 +114,79 @@ def _left_translated_delta(p0, p1, p_1, h: float):
     return inv @ (p1 - p_1) / (2.0 * h)
 
 
-def _push_tangents(face: Callable, points, tangents, h: float = FD_STEP):
-    """Differential of a face map on a tuple of left-translated tangents."""
-    base = face(points)
-    out = []
-    for tan in _tangent_basis(points, tangents):
-        plus = face(_flow_tuple(points, tan, h))
-        minus = face(_flow_tuple(points, tan, -h))
-        out.append(_tuple_delta(base, plus, minus, h))
-    # sum the per-slot contributions
-    total = out[0]
-    for other in out[1:]:
-        total = _tuple_add(total, other)
-    return base, total
-
-
-def _tangent_basis(points, tangents):
-    """Split a joint tangent into per-slot tangents (others zeroed)."""
-    basis = []
-    for i in range(len(points)):
-        slot = []
-        for j, t in enumerate(tangents):
-            if j == i:
-                slot.append(t)
-            elif isinstance(t, lp.SemiDirectAlgebraElement):
-                slot.append(lp.SemiDirectAlgebraElement(np.zeros_like(t.loop_part), 0.0))
-            else:
-                slot.append(np.zeros_like(t))
-        basis.append(tuple(slot))
-    return basis
+def _slot_flows(points, tangents, h: float):
+    """Each slot flowed by +h and by -h along its own tangent."""
+    return [(_flow(p, tan, h), _flow(p, tan, -h)) for p, tan in zip(points, tangents)]
 
 
 def _flow_tuple(points, tangents, t):
     return tuple(_flow(p, tan, t) for p, tan in zip(points, tangents))
 
 
-def _tuple_delta(base, plus, minus, h):
-    return tuple(
-        _left_translated_delta(b, p, m, h) for b, p, m in zip(base, plus, minus)
-    )
-
-
-def _tuple_add(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if isinstance(x, lp.SemiDirectAlgebraElement):
-            out.append(
-                lp.SemiDirectAlgebraElement(
-                    x.loop_part + y.loop_part, x.circle_part + y.circle_part
-                )
-            )
-        else:
-            out.append(x + y)
-    return tuple(out)
+def _add(x, y):
+    if isinstance(x, lp.SemiDirectAlgebraElement):
+        return lp.SemiDirectAlgebraElement(
+            x.loop_part + y.loop_part, x.circle_part + y.circle_part
+        )
+    return x + y
 
 
 def nerve_faces(length: int):
-    """The length+1 face maps G^length -> G^{length-1} of the group nerve:
-    drop first, multiply adjacent pairs, drop last."""
+    """Reach tables of the length+1 face maps G^length -> G^{length-1} of the
+    group nerve: drop first, multiply adjacent pairs, drop last.
 
-    def face(i):
-        def apply(points):
-            points = tuple(points)
-            if i == 0:
-                return points[1:]
-            if i == length:
-                return points[:-1]
-            merged = (
-                lp.semidirect_multiply(points[i - 1], points[i])
-                if _is_semidirect(points[0])
-                else points[i - 1] @ points[i]
+    Output component c of a face is the ordered product of the input slots
+    ``reach[c]``, so the table both defines the face and says which slot
+    tangents reach which component.
+    """
+    slots = [(s,) for s in range(length)]
+    merges = [slots[: i - 1] + [(i - 1, i)] + slots[i + 1 :] for i in range(1, length)]
+    return [tuple(r) for r in [slots[1:]] + merges + [slots[:-1]]]
+
+
+def _product(values):
+    out = values[0]
+    for g in values[1:]:
+        out = lp.semidirect_multiply(out, g) if _is_semidirect(out) else out @ g
+    return out
+
+
+def face_map(reach, points):
+    """Image of a point of G^length under the face with this reach table."""
+    return tuple(_product([points[s] for s in slots]) for slots in reach)
+
+
+def _push_tangents(reach, points, base, flows, h: float):
+    """Differential of a face map on left-translated tangents.
+
+    ``flows[s]`` holds slot s flowed by +h and -h; each output component is
+    differenced only along the slots it reads, summed in slot order.
+    """
+    pushed = []
+    for b, slots in zip(base, reach):
+        total = None
+        for s in slots:
+            plus, minus = (
+                _product([f if k == s else points[k] for k in slots]) for f in flows[s]
             )
-            return points[: i - 1] + (merged,) + points[i + 1 :]
-
-        return apply
-
-    return [face(i) for i in range(length + 1)]
+            delta = _left_translated_delta(b, plus, minus, h)
+            total = delta if total is None else _add(total, delta)
+        pushed.append(total)
+    return tuple(pushed)
 
 
 def simplicial_delta_eval(form: Callable, points, tangents, h: float = FD_STEP) -> float:
     """(delta form) at a point of G^{m+1} on left-translated tangents.
 
     ``form`` takes (points, tangents) on G^m.  Tangents are pushed through
-    each nerve face map by central differences along exponential curves.
+    each nerve face map by central differences along exponential curves;
+    each slot is flowed once per sign and shared by every face.
     """
+    flows = _slot_flows(points, tangents, h)
     total = 0.0
-    for i, face in enumerate(nerve_faces(len(points))):
-        base, pushed = _push_tangents(face, points, tangents, h)
-        total += (-1.0) ** i * form(base, pushed)
+    for i, reach in enumerate(nerve_faces(len(points))):
+        base = face_map(reach, points)
+        total += (-1.0) ** i * form(base, _push_tangents(reach, points, base, flows, h))
     return total
 
 
@@ -216,10 +201,13 @@ def delta_of(form: Callable, h: float = FD_STEP) -> Callable:
 
 def delta_two_form(form2: Callable, points, tans_x, tans_y, h: float = FD_STEP) -> float:
     """delta of a 2-form evaluator, pushing both tangent sets through faces."""
+    flows_x = _slot_flows(points, tans_x, h)
+    flows_y = _slot_flows(points, tans_y, h)
     total = 0.0
-    for i, face in enumerate(nerve_faces(len(points))):
-        base, push_x = _push_tangents(face, points, tans_x, h)
-        _, push_y = _push_tangents(face, points, tans_y, h)
+    for i, reach in enumerate(nerve_faces(len(points))):
+        base = face_map(reach, points)
+        push_x = _push_tangents(reach, points, base, flows_x, h)
+        push_y = _push_tangents(reach, points, base, flows_y, h)
         total += (-1.0) ** i * form2(base, push_x, push_y)
     return total
 
@@ -320,9 +308,7 @@ def delta_epsilon_vs_tau_alpha(
     point = np.asarray(point, dtype=float)
 
     def tau13(p):
-        if _is_semidirect(tau12(p)):
-            return lp.semidirect_multiply(tau12(p), tau23(p))
-        return tau12(p) @ tau23(p)
+        return _product([tau12(p), tau23(p)])
 
     c2 = gauge_transform(c, tau12)
     eps23 = epsilon_form(c2, tau23, point, X)

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", default="all", help=f"one of {SUITES + ['all']}")
+    verify.add_argument("--suite", default=None, help=f"one of {SUITES + ['all']} (default all)")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--n", type=int, default=None, help="su(n) rank parameter")
     verify.add_argument("--samples", type=int, default=None, help="loop samples N")

@@ -23,6 +23,9 @@ from . import caloron, centralext, connections, formscalc as fc, liecore, loopsp
 from . import pathfib, sampling
 
 DEFAULT_SEED = 20090622
+# Largest set of live complex loop samples a run may hold, in bytes; larger
+# sizes are refused before anything runs instead of failing inside numpy.
+MEMORY_BUDGET_BYTES = 2 ** 30
 
 
 class ConfigError(ValueError):
@@ -57,6 +60,22 @@ class RunConfig:
         unknown = set(self.tolerance_overrides) - {entry[0] for entry in _REGISTRY}
         if unknown:
             raise ConfigError(f"unknown check names in tolerance_overrides: {sorted(unknown)}")
+        need = self.peak_loop_bytes()
+        if need > MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"n={self.n}, samples={self.samples}, pathfib_samples={self.pathfib_samples} "
+                f"need {need / 2 ** 30:.3g} GiB of loop batches, "
+                f"over the {MEMORY_BUDGET_BYTES / 2 ** 30:.3g} GiB budget"
+            )
+
+    def peak_loop_bytes(self) -> int:
+        """Bytes of the largest batch of (n, n) complex loop values: the caloron
+        curvature holds D^2 chart partials (D = 3 base + theta + su(n)
+        directions) on the suite grid, the path-fibration holonomy takes
+        8 * max(4 pathfib_samples, 1024) Magnus steps."""
+        chart = (self.n ** 2 + 3) ** 2 * self.samples
+        holonomy = 8 * max(4 * self.pathfib_samples, 1024)
+        return 16 * self.n ** 2 * max(chart, holonomy)
 
 
 @dataclass(frozen=True)

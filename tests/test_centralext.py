@@ -358,3 +358,86 @@ class TestStep:
         for name, r in residuals[1e-4].items():
             moved = r != residuals[1e-3][name]
             assert moved == (name in self.FD_CHECKS), name
+
+
+def _textbook_face(i, points):
+    """Face i of the group nerve written out: drop first, multiply the
+    pair (i-1, i), drop last."""
+    m = len(points)
+    if i == 0:
+        return points[1:]
+    if i == m:
+        return points[:-1]
+    a, b = points[i - 1], points[i]
+    merged = lp.semidirect_multiply(a, b) if isinstance(a, lp.SemiDirectGroupElement) else a @ b
+    return points[: i - 1] + (merged,) + points[i + 1 :]
+
+
+def _push_all_slots(i, points, tangents, h):
+    """Reference push: flow every slot (zero tangents on all but one) for
+    every slot, difference every output component, sum over slots."""
+
+    def zero(t):
+        if isinstance(t, lp.SemiDirectAlgebraElement):
+            return lp.SemiDirectAlgebraElement(np.zeros_like(t.loop_part), 0.0)
+        return np.zeros_like(t)
+
+    base = _textbook_face(i, points)
+    total = None
+    for s in range(len(points)):
+        tan = tuple(t if j == s else zero(t) for j, t in enumerate(tangents))
+        plus = _textbook_face(i, ce._flow_tuple(points, tan, h))
+        minus = _textbook_face(i, ce._flow_tuple(points, tan, -h))
+        delta = tuple(ce._left_translated_delta(b, p, q, h) for b, p, q in zip(base, plus, minus))
+        total = delta if total is None else tuple(ce._add(x, y) for x, y in zip(total, delta))
+    return base, total
+
+
+def _same(x, y):
+    if isinstance(x, lp.SemiDirectGroupElement):
+        return np.array_equal(x.loop_part, y.loop_part) and x.angle == y.angle
+    if isinstance(x, lp.SemiDirectAlgebraElement):
+        return np.array_equal(x.loop_part, y.loop_part) and x.circle_part == y.circle_part
+    return np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("draw", [lg_point_tangent, sd_point_tangent], ids=["lg", "lgxs1"])
+class TestFacePush:
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_reach_table_matches_brute_force(self, draw, length):
+        pts, tans = draw(length)
+        faces = ce.nerve_faces(length)
+        assert len(faces) == length + 1
+        for i, reach in enumerate(faces):
+            base = _textbook_face(i, pts)
+            assert all(_same(a, b) for a, b in zip(ce.face_map(reach, pts), base))
+            for s in range(length):
+                moved = list(pts)
+                moved[s] = ce._flow(pts[s], tans[s], 0.1)
+                out = _textbook_face(i, tuple(moved))
+                changed = {c for c, (a, b) in enumerate(zip(out, base)) if not _same(a, b)}
+                assert changed == {c for c, slots in enumerate(reach) if s in slots}
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_push_equals_all_slots_push_bitwise(self, draw, length):
+        pts, tans = draw(length)
+        flows = ce._slot_flows(pts, tans, ce.FD_STEP)
+        for i, reach in enumerate(ce.nerve_faces(length)):
+            want_base, want = _push_all_slots(i, pts, tans, ce.FD_STEP)
+            base = ce.face_map(reach, pts)
+            got = ce._push_tangents(reach, pts, base, flows, ce.FD_STEP)
+            assert all(_same(a, b) for a, b in zip(base, want_base))
+            assert all(_same(a, b) for a, b in zip(got, want))
+
+    def test_two_flows_per_slot(self, draw, monkeypatch):
+        calls = []
+        exp_loop = lp.exp_loop
+
+        def counted(xi):
+            calls.append(xi)
+            return exp_loop(xi)
+
+        pts, tans = draw(3)
+        monkeypatch.setattr(lp, "exp_loop", counted)
+        ce.simplicial_delta_eval(ce.alpha_form, pts, tans)
+        assert len(calls) == 6

@@ -52,6 +52,27 @@ class TestRunSuite:
         with pytest.raises(rp.ConfigError):
             rp.run_suite(rp.RunConfig(n=1))
 
+    def test_memory_budget_rejected_without_allocating(self):
+        import tracemalloc
+
+        cfg = rp.RunConfig(samples=100_000_000, n=50)
+        tracemalloc.start()
+        try:
+            with pytest.raises(rp.ConfigError, match="budget"):
+                cfg.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_memory_budget_edge(self, monkeypatch):
+        cfg = rp.RunConfig(n=3, samples=128)
+        monkeypatch.setattr(rp, "MEMORY_BUDGET_BYTES", cfg.peak_loop_bytes())
+        cfg.validate()
+        monkeypatch.setattr(rp, "MEMORY_BUDGET_BYTES", cfg.peak_loop_bytes() - 1)
+        with pytest.raises(rp.ConfigError, match="budget"):
+            cfg.validate()
+
     def test_lie_suite_passes(self, lie_report):
         assert lie_report.all_passed
         assert all(c.name.startswith("lie.") for c in lie_report.checks)
@@ -249,6 +270,29 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
         assert "lie.bracket.jacobbi" in capsys.readouterr().err
+
+    def test_memory_budget_exit_two(self, monkeypatch, capsys):
+        import loopforms.cli
+
+        def must_not_run(cfg):
+            raise AssertionError("run_suite reached")
+
+        monkeypatch.setattr(loopforms.cli, "run_suite", must_not_run)
+        code = cli_main(["verify", "--samples", "100000000", "--n", "50"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_config_file_suite_honoured(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"suite": "pathfib"}))
+        out = tmp_path / "r.json"
+        code = cli_main(
+            ["verify", "--config", str(cfgfile), "--format", "json", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["suite"] == "pathfib"
+        assert len(payload["checks"]) == 11
 
     def test_table_subcommand(self, tmp_path):
         out = tmp_path / "t.csv"
