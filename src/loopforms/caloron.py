@@ -68,13 +68,12 @@ class ExtendedChart:
     def maurer_cartan(self, u: np.ndarray) -> np.ndarray:
         """Theta coefficients (m, n, n): g^{-1} dg/du_a by central differences."""
         g = self.group_point(u)
-        ginv = np.linalg.inv(g)
         h = self.fd_step
         out = np.empty((self.group_dim, self.n, self.n), dtype=complex)
         for a in range(self.group_dim):
             e = np.zeros(self.group_dim)
             e[a] = h
-            out[a] = ginv @ (self.group_point(u + e) - self.group_point(u - e)) / (2.0 * h)
+            out[a] = lp.central(self.group_point(u + e), self.group_point(u - e), h, base=g)
         return out
 
     def identity_coordinates(self) -> np.ndarray:
@@ -155,8 +154,7 @@ def from_g_connection(field: GConnectionField, N: int | None = None) -> LGConnec
     )
 
 
-def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray,
-                           step: float | None = None) -> dict:
+def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray) -> dict:
     """F = dA + (1/2)[A, A] componentwise on the extended chart.
 
     Coefficient convention: F_IJ = d_I A_J - d_J A_I + [A_I, A_J] for
@@ -164,7 +162,7 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
     derivative is spectral on the loop axis.
     """
     chart = field.chart
-    h = step if step is not None else chart.fd_step
+    h = chart.fd_step
     D = chart.total_dim
     ti = chart.theta_index
 
@@ -187,7 +185,7 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
         if I == ti:
             partials[I] = np.stack([lp.loop_derivative(center[J]) for J in range(D)])
         else:
-            partials[I] = (shifted(I, +1) - shifted(I, -1)) / (2.0 * h)
+            partials[I] = lp.central(shifted(I, +1), shifted(I, -1), h)
 
     comps = {}
     for I in range(D):
@@ -225,9 +223,8 @@ def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedC
     return out
 
 
-def _transport_residual(field: GConnectionField, target: dict,
-                        x: np.ndarray, u: np.ndarray, step: float | None) -> float:
-    comps = g_curvature_components(field, x, u, step)
+def _transport_residual(field: GConnectionField, target: dict, x: np.ndarray, u: np.ndarray) -> float:
+    comps = g_curvature_components(field, x, u)
     residuals = []
     for key, val in comps.items():
         want = target.get(key)
@@ -241,7 +238,6 @@ def g_curvature_transport_check(
     points,
     chart: ExtendedChart | None = None,
     u: np.ndarray | None = None,
-    step: float | None = None,
 ) -> float:
     """Max residual between the finite-difference curvature of the assembled
     G-connection and the closed transport form, over the given base points.
@@ -253,7 +249,7 @@ def g_curvature_transport_check(
     residuals = []
     for x in points:
         x = np.asarray(x, dtype=float)
-        residuals.append(_transport_residual(field, transport_target(c, chart, x, u), x, u, step))
+        residuals.append(_transport_residual(field, transport_target(c, chart, x, u), x, u))
     return fc._worst(residuals)
 
 

@@ -98,22 +98,6 @@ def _flow(point, tangent, t: float):
     return point @ lp.exp_loop(t * tangent)
 
 
-def _left_translated_delta(p0, p1, p_1, h: float):
-    """Left-translated tangent from a symmetric difference of group points."""
-    if _is_semidirect(p0):
-        # loop part of p0^{-1} p is rot_{-phi0}(gamma0^{-1} gamma), already
-        # the left-translated algebra coordinate
-        inv = lp.semidirect_inverse(p0)
-        dloop = (
-            lp.semidirect_multiply(inv, p1).loop_part
-            - lp.semidirect_multiply(inv, p_1).loop_part
-        ) / (2.0 * h)
-        dang = lp.angle_delta(p1.angle, p_1.angle) / (2.0 * h)
-        return lp.SemiDirectAlgebraElement(dloop, dang)
-    inv = lp.loop_inverse(p0)
-    return inv @ (p1 - p_1) / (2.0 * h)
-
-
 def _slot_flows(points, tangents, h: float):
     """Each slot flowed by +h and by -h along its own tangent."""
     return [(_flow(p, tan, h), _flow(p, tan, -h)) for p, tan in zip(points, tangents)]
@@ -169,7 +153,7 @@ def _push_tangents(reach, points, base, flows, h: float):
             plus, minus = (
                 _product([f if k == s else points[k] for k in slots]) for f in flows[s]
             )
-            delta = _left_translated_delta(b, plus, minus, h)
+            delta = lp.central(plus, minus, h, base=b)
             total = delta if total is None else _add(total, delta)
         pushed.append(total)
     return tuple(pushed)
@@ -223,7 +207,7 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
     def directional(tans_flow, tans_eval):
         plus = alpha_form(_flow_tuple(points, tans_flow, h), tans_eval)
         minus = alpha_form(_flow_tuple(points, tans_flow, -h), tans_eval)
-        return (plus - minus) / (2.0 * h)
+        return lp.central(plus, minus, h)
 
     if _is_semidirect(points[0]):
         bracket = tuple(
@@ -281,21 +265,6 @@ def _contract_one_form(form: fc.FormField, p: np.ndarray, X: np.ndarray):
     return total
 
 
-def _tau_pushforward(tau: Callable, point, X, h: float = FD_STEP):
-    """Left-translated derivative of a chart -> group map along X."""
-    X = np.asarray(X, dtype=float)
-    plus = tau(point + h * X)
-    minus = tau(point - h * X)
-    base = tau(point)
-    if _is_semidirect(base):
-        ginv = lp.loop_inverse(base.loop_part)
-        dloop = ginv @ (plus.loop_part - minus.loop_part) / (2.0 * h)
-        xi = lp.rotate(-base.angle, dloop)
-        dang = lp.angle_delta(plus.angle, minus.angle) / (2.0 * h)
-        return lp.SemiDirectAlgebraElement(xi, dang)
-    return lp.loop_inverse(base) @ (plus - minus) / (2.0 * h)
-
-
 def delta_epsilon_vs_tau_alpha(
     c, tau12: Callable, tau23: Callable, point: np.ndarray, X: np.ndarray
 ) -> float:
@@ -316,12 +285,14 @@ def delta_epsilon_vs_tau_alpha(
     eps12 = epsilon_form(c, tau12, point, X)
     lhs = eps23 - eps13 + eps12
 
-    t12 = tau12(point)
-    t23 = tau23(point)
-    h = c.fd_step
-    xi1 = _tau_pushforward(tau12, point, X, h)
-    rhs = alpha_form((t12, t23), (xi1, _tau_pushforward(tau23, point, X, h)))
-    return abs(lhs - rhs)
+    # tau^* alpha on the left-translated pushforwards of X
+    h, X = c.fd_step, np.asarray(X, dtype=float)
+    t12, t23 = tau12(point), tau23(point)
+    xi12, xi23 = (
+        lp.central(tau(point + h * X), tau(point - h * X), h, base=t)
+        for tau, t in ((tau12, t12), (tau23, t23))
+    )
+    return abs(lhs - alpha_form((t12, t23), (xi12, xi23)))
 
 
 # -- curvings ----------------------------------------------------------------

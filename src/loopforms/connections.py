@@ -66,7 +66,7 @@ def _dphi_form(c) -> fc.FormField:
         (i,) = idx
         e = np.zeros(c.dim)
         e[i] = h
-        return (c.phi(p + e) - c.phi(p - e)) / (2.0 * h)
+        return lp.central(c.phi(p + e), c.phi(p - e), h)
 
     return fc.FormField(1, c.dim, coeff)
 
@@ -221,12 +221,6 @@ def independence_homotopy_form(
     return fc.scale_form(float(k), fc.form_sum(terms, list(w)))
 
 
-def _chart_derivative(sigma: Callable, p: np.ndarray, i: int, h: float):
-    e = np.zeros(len(p))
-    e[i] = h
-    return (np.asarray(sigma(p + e)) - np.asarray(sigma(p - e))) / (2.0 * h)
-
-
 def gauge_transform(c, sigma):
     """Change of trivialization by a smooth gauge function.
 
@@ -236,13 +230,19 @@ def gauge_transform(c, sigma):
     the Higgs field its twisted equivariance shift.
     """
     h = c.fd_step
+
+    def dsigma(p, i):
+        e = np.zeros(c.dim)
+        e[i] = h
+        return lp.central(sigma(p + e), sigma(p - e), h)
+
     if isinstance(c, LGConnectionData):
 
         def A_coeff(p, idx):
             (i,) = idx
             g = sigma(p)
             ginv = lp.loop_inverse(g)
-            return ginv @ c.A.coeff(p, idx) @ g + ginv @ _chart_derivative(sigma, p, i, h)
+            return ginv @ c.A.coeff(p, idx) @ g + ginv @ dsigma(p, i)
 
         def phi(p):
             g = sigma(p)
@@ -253,33 +253,22 @@ def gauge_transform(c, sigma):
 
     if isinstance(c, LGxS1ConnectionData):
 
-        def loop_at(p):
-            return sigma(p).loop_part
-
-        def angle_at(p):
-            return float(sigma(p).angle)
-
         def A_coeff(p, idx):
             (i,) = idx
             s = sigma(p)
             g, ang = s.loop_part, s.angle
             ginv = lp.loop_inverse(g)
-            dg = _chart_derivative(loop_at, p, i, h)
             ai = c.a.coeff(p, idx)
             inner = (
                 ginv @ c.A.coeff(p, idx) @ g
                 - fc._scalar_times(ai, ginv @ lp.loop_derivative(g))
-                + ginv @ dg
+                + ginv @ dsigma(p, i).loop_part
             )
             return lp.rotate(-ang, inner)
 
         def a_coeff(p, idx):
             (i,) = idx
-            e = np.zeros(c.dim)
-            e[i] = h
-            # angles are stored mod 2 pi; recover the small difference
-            dang = lp.angle_delta(angle_at(p + e), angle_at(p - e)) / (2.0 * h)
-            return c.a.coeff(p, idx) + dang
+            return c.a.coeff(p, idx) + dsigma(p, i).circle_part
 
         def phi(p):
             s = sigma(p)

@@ -28,7 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .loopspace import circle_integral
+from .loopspace import central, circle_integral
+
+PULLBACK_STEP = 1e-5  # step of pullback's finite-difference Jacobian
 
 
 class ChartMismatch(ValueError):
@@ -208,29 +210,19 @@ def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
     return total / factorial(q)
 
 
-def exterior_derivative(form: FormField, step: float = 1e-4, richardson: bool = False) -> FormField:
-    """Exterior derivative by central differences of the coefficients.
-
-    With ``richardson`` the h and h/2 stencils are combined to cancel the
-    O(h^2) truncation term.
-    """
+def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
+    """Exterior derivative by central differences of the coefficients."""
     if step <= 0:
         raise ValueError("step must be positive")
-
-    def diff(p, j, rest, h):
-        e = np.zeros(form.dim)
-        e[j] = h
-        hi = np.asarray(form.coeff(p + e, rest))
-        lo = np.asarray(form.coeff(p - e, rest))
-        return (hi - lo) / (2.0 * h)
 
     def coeff(p, idx):
         total = None
         for m, j in enumerate(idx):
+            e = np.zeros(form.dim)
+            e[j] = step
             rest = idx[:m] + idx[m + 1 :]
-            d = diff(p, j, rest, step)
-            if richardson:
-                d = (4.0 * diff(p, j, rest, step / 2.0) - d) / 3.0
+            hi, lo = (np.asarray(form.coeff(x, rest)) for x in (p + e, p - e))
+            d = central(hi, lo, step)
             term = d if m % 2 == 0 else -d
             total = term if total is None else total + term
         return total
@@ -243,7 +235,6 @@ def pullback(
     mapping: Callable[[np.ndarray], np.ndarray],
     source_dim: int,
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-    step: float = 1e-5,
 ) -> FormField:
     """Pullback along a chart map, with supplied or finite-difference Jacobian."""
 
@@ -253,8 +244,9 @@ def pullback(
         cols = []
         for j in range(source_dim):
             e = np.zeros(source_dim)
-            e[j] = step
-            cols.append((np.asarray(mapping(u + e)) - np.asarray(mapping(u - e))) / (2 * step))
+            e[j] = PULLBACK_STEP
+            hi, lo = (np.asarray(mapping(x)) for x in (u + e, u - e))
+            cols.append(central(hi, lo, PULLBACK_STEP))
         return np.stack(cols, axis=1)
 
     q = form.degree

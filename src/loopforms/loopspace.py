@@ -117,6 +117,24 @@ class SemiDirectGroupElement:
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * np.pi))
 
 
+def central(plus, minus, h: float, base=None):
+    """Central-difference quotient (plus - minus) / 2h of the values at +h and -h.
+
+    With a group point ``base`` the difference is left-translated by
+    base^{-1}.  LG x| S1 values give an algebra element: the angle rate takes
+    the small difference of angles stored mod 2 pi, and a base's loop part is
+    rotated by -base.angle, as base^{-1} p has loop part rot_{-phi}(gamma^{-1} gamma_p).
+    """
+    if isinstance(plus, SemiDirectGroupElement):
+        rate = angle_delta(plus.angle, minus.angle) / (2.0 * h)
+        if base is None:
+            return SemiDirectAlgebraElement(central(plus.loop_part, minus.loop_part, h), rate)
+        loop = central(plus.loop_part, minus.loop_part, h, base.loop_part)
+        return SemiDirectAlgebraElement(rotate(-base.angle, loop), rate)
+    diff = plus - minus if base is None else loop_inverse(base) @ (plus - minus)
+    return diff / (2.0 * h)
+
+
 def semidirect_multiply(
     g1: SemiDirectGroupElement, g2: SemiDirectGroupElement
 ) -> SemiDirectGroupElement:

@@ -384,8 +384,7 @@ def _forms_pure_gauge(cfg: RunConfig, rng) -> float:
         (i,) = idx
         e = np.zeros(dim)
         e[i] = h
-        g = gmap(p)
-        return np.linalg.inv(g) @ (gmap(p + e) - gmap(p - e)) / (2 * h)
+        return lp.central(gmap(p + e), gmap(p - e), h, base=gmap(p))
 
     A = fc.FormField(1, dim, A_coeff)
     F = fc.form_sum(
@@ -596,9 +595,9 @@ def _caloron_transport(cfg: RunConfig, rng, variant) -> float:
 @_twins(("caloron.transport.step_refinement", "caloron.transport_twisted.step_refinement"),
         "caloron", "caloron/fd-convergence", 0.5)
 def _caloron_transport_refine(cfg: RunConfig, rng, variant) -> float:
-    # ratio of residuals at steps h and h/2, taken where truncation
-    # dominates round-off; ~0.25 for a second-order scheme
-    c = variant.connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
+    # ratio of residuals at chart steps h and h/2 (the data keep their default
+    # step), where truncation dominates round-off; ~0.25 at second order
+    c = variant.connection(rng, 2, cfg.samples, cfg.n)
     pts = sampling.random_chart_points(rng, 2, 1)
     chart1 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=2e-2)
     chart2 = caloron.ExtendedChart(2, cfg.samples, cfg.n, fd_step=1e-2)
@@ -795,7 +794,7 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     def vdeform(t):
         return pathfib.PathPoint(p.samples @ lp.exp_loop(t * based), p.endpoint)
 
-    dphi = (pathfib.pf_higgs(vdeform(h)) - pathfib.pf_higgs(vdeform(-h))) / (2 * h)
+    dphi = lp.central(pathfib.pf_higgs(vdeform(h)), pathfib.pf_higgs(vdeform(-h)), h)
     phi = pathfib.pf_higgs(p)
     vert = dphi + (based @ phi - phi @ based) - lp.loop_derivative(based)
 
@@ -811,7 +810,7 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
         endpoint = liecore.exponential(t * hX.endpoint) @ p2.endpoint
         return pathfib.PathPoint(flow @ p2.samples, endpoint)
 
-    dphi2 = (pathfib.pf_higgs(hdeform(h)) - pathfib.pf_higgs(hdeform(-h))) / (2 * h)
+    dphi2 = lp.central(pathfib.pf_higgs(hdeform(h)), pathfib.pf_higgs(hdeform(-h)), h)
     want = pathfib.pf_nabla_phi(p2, V, alpha)
     return fc._worst([np.max(np.abs(vert)), np.max(np.abs(dphi2 - want))])
 

@@ -104,28 +104,6 @@ class TestExteriorDerivative:
         # evaluate of a 0-form takes zero vectors
         assert fc.evaluate(f0, p, []) == poly(p)
 
-    def test_richardson_improves(self):
-        form = fc.FormField(1, 2, lambda p, idx: np.sin(3 * p[0]) * np.cos(2 * p[1]))
-        plain = fc.exterior_derivative(form, 1e-3)
-        better = fc.exterior_derivative(form, 1e-3, richardson=True)
-
-        def exact(p):
-            return (
-                -2 * np.sin(3 * p[0]) * np.sin(2 * p[1])
-                - 3 * np.cos(3 * p[0]) * np.cos(2 * p[1])
-            ) if False else None
-
-        # compare d(coefficients) against analytic mixed partials
-        p = np.array([0.3, 0.4])
-        # coefficient of dx0^dx1 from d: d_0 c_1 - d_1 c_0 with c_0 = c_1 = same
-        truth = (
-            3 * np.cos(3 * p[0]) * np.cos(2 * p[1])
-            + 2 * np.sin(3 * p[0]) * np.sin(2 * p[1])
-        )
-        err_plain = abs(plain.coeff(p, (0, 1)) - truth)
-        err_rich = abs(better.coeff(p, (0, 1)) - truth)
-        assert err_rich < err_plain
-
 
 class TestWedge:
     def test_bracket_square_collinear(self):

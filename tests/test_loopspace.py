@@ -8,6 +8,7 @@ from loopforms.liecore import su2_basis
 from loopforms.loopspace import (
     SemiDirectAlgebraElement,
     SemiDirectGroupElement,
+    central,
     circle_integral,
     exp_loop,
     grid,
@@ -213,3 +214,52 @@ class TestSemiDirect:
         prod = semidirect_multiply(g, semidirect_inverse(g))
         assert np.max(np.abs(prod.loop_part - np.eye(2))) < 1e-12
         assert min(prod.angle, 2 * np.pi - prod.angle) < 1e-12
+
+
+def _left_translated_loop_delta(p0, p1, p_1, h):
+    """Loop part of the former centralext._left_translated_delta on LG x| S1,
+    which formed p0^{-1} p through the group law."""
+    inv = semidirect_inverse(p0)
+    return (
+        semidirect_multiply(inv, p1).loop_part - semidirect_multiply(inv, p_1).loop_part
+    ) / (2.0 * h)
+
+
+class TestCentral:
+    H = 1e-4
+
+    def test_plain_arrays_bitwise(self):
+        p, m = RNG.standard_normal((2, N, 2, 2))
+        assert np.array_equal(central(p, m, self.H), (p - m) / (2 * self.H))
+        assert central(0.7, 0.2, self.H) == (0.7 - 0.2) / (2 * self.H)
+
+    def test_left_translated_lg(self):
+        b = sampling.bandlimited_group_loop(RNG, N, 2)
+        p, m = (sampling.bandlimited_group_loop(RNG, N, 2) for _ in range(2))
+        want = loop_inverse(b) @ (p - m) / (2 * self.H)
+        assert np.array_equal(central(p, m, self.H, base=b), want)
+
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_angle_rate_across_wrap(self, with_base):
+        # angles 0.005 and 2 pi - 0.005 are 0.01 apart across the wrap
+        h = 1e-2
+        loop = sampling.bandlimited_group_loop(RNG, N, 2)
+        plus = SemiDirectGroupElement(loop, 0.5 * h)
+        minus = SemiDirectGroupElement(loop, -0.5 * h)
+        base = SemiDirectGroupElement(loop, 0.0) if with_base else None
+        rate = central(plus, minus, h, base=base).circle_part
+        assert rate == pytest.approx(0.5, rel=1e-12)
+
+    def test_semidirect_left_translation_matches_group_law(self):
+        base, tangent = _sd_grp(), _sd_alg()
+        plus, minus = (
+            semidirect_multiply(base, SemiDirectGroupElement(
+                exp_loop(t * tangent.loop_part), t * tangent.circle_part))
+            for t in (self.H, -self.H)
+        )
+        got = central(plus, minus, self.H, base=base)
+        want = _left_translated_loop_delta(base, plus, minus, self.H)
+        assert np.max(np.abs(got.loop_part - want)) < 1e-10
+        # and both are the tangent itself up to O(h^2)
+        assert np.max(np.abs(got.loop_part - tangent.loop_part)) < 1e-6
+        assert got.circle_part == pytest.approx(tangent.circle_part, abs=1e-10)

@@ -355,3 +355,41 @@ class TestDiffReports:
         assert f"residual changed: {before['checks'][0]['name']}" in out
         assert f"tolerance changed: {before['checks'][1]['name']}" in out
         assert f"anchor changed: {before['checks'][2]['name']}" in out
+
+
+class TestStep:
+    # checks of the string and caloron suites whose data or identity takes a
+    # central difference at fd_step.  The pontrjagyn checks compare two forms
+    # built from the same finite-difference curvature, so their round-off
+    # residuals move too.  The rest (exact identities and the fixed-step
+    # refinement ratios) must not see --step at all.
+    FD_CHECKS = {
+        "string": [
+            "string.closed.k1",
+            "string.closed.k2",
+            "string.closed.k3",
+            "string.covariant_derivative_identity",
+            "string.gauge_invariance",
+            "string.gauge_invariance_twisted",
+            "string.independence",
+        ],
+        "caloron": [
+            "caloron.loop_bundle_slice",
+            "caloron.pontrjagyn_matches_string",
+            "caloron.pontrjagyn_matches_string_twisted",
+            "caloron.transport",
+            "caloron.transport.base_point",
+            "caloron.transport_twisted",
+        ],
+    }
+
+    @pytest.mark.parametrize("suite", ["string", "caloron"])
+    def test_step_reaches_every_stencil(self, suite):
+        residuals = {}
+        for h in (1e-4, 1e-3):
+            rep = rp.run_suite(rp.RunConfig(suite=suite, samples=16, fd_step=h))
+            residuals[h] = {c.name: c.residual for c in rep.checks}
+        assert set(self.FD_CHECKS[suite]) < set(residuals[1e-4])
+        for name, r in residuals[1e-4].items():
+            moved = r != residuals[1e-3][name]
+            assert moved == (name in self.FD_CHECKS[suite]), name
