@@ -21,7 +21,7 @@ which flatness of pure gauge F = dA + (1/2)[A, A] holds on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import factorial
 from typing import Callable
@@ -43,7 +43,11 @@ class DegreeError(ValueError):
 
 @dataclass(frozen=True)
 class FormField:
-    """Degree-q alternating form given by coefficients on increasing tuples."""
+    """Degree-q alternating form given by coefficients on increasing tuples.
+
+    ``coeff`` must be pure in (point, idx).  The form keeps the values of
+    the last point it was asked (see :func:`_memo`).
+    """
 
     degree: int
     dim: int
@@ -52,6 +56,37 @@ class FormField:
     def __post_init__(self) -> None:
         if self.degree < 0 or self.dim < 1:
             raise DegreeError(f"bad degree {self.degree} or dim {self.dim}")
+        object.__setattr__(self, "coeff", _memo(self.coeff))
+
+
+def _memo(raw):
+    """``raw`` with its values kept for the last point asked.
+
+    Points are told apart by their bytes, so one ulp or the sign of a zero
+    makes a new point, and a new point drops the old values.  Arrays come
+    back as read-only views: an in-place update by a caller raises rather
+    than corrupting the memo, and an array the closure owns stays writeable.
+    """
+    last: list = [None, {}]  # point bytes, {idx: value} at that point
+
+    @wraps(raw, updated=())
+    def coeff(p, idx):
+        key = np.asarray(p, dtype=float).tobytes()
+        if key != last[0]:
+            last[:] = key, {}
+        values = last[1]
+        idx = tuple(idx)
+        try:
+            return values[idx]
+        except KeyError:
+            val = raw(p, idx)
+        if isinstance(val, np.ndarray):
+            val = val.view()
+            val.flags.writeable = False
+        values[idx] = val
+        return val
+
+    return coeff
 
 
 def _require_same_chart(*forms: FormField) -> int:
@@ -98,20 +133,11 @@ def poly_wedge(forms: list[FormField], combine: Callable) -> FormField:
     total_degree = sum(degrees)
 
     def coeff(p, idx):
-        idx = tuple(idx)
-        cache: dict = {}
-
-        def get(i, block):
-            key = (i, block)
-            if key not in cache:
-                cache[key] = forms[i].coeff(p, block)
-            return cache[key]
-
         total = None
         for sign, pos_blocks in _split_patterns(len(idx), degrees):
             vals = [
-                get(i, tuple(idx[p] for p in blk))
-                for i, blk in enumerate(pos_blocks)
+                f.coeff(p, tuple(idx[k] for k in blk))
+                for f, blk in zip(forms, pos_blocks)
             ]
             term = combine(vals)
             term = term if sign == 1 else -term
@@ -187,6 +213,26 @@ def zero_form(dim: int, degree: int, like) -> FormField:
     return FormField(degree, dim, lambda p, idx: zero)
 
 
+def _minor(m) -> float:
+    """Determinant of a q x q minor: products for q <= 3, LU beyond.
+
+    Exact where a product formula is, e.g. b for [[1, a], [0, b]], and
+    without a LAPACK call for the minors of forms of degree <= 3.
+    """
+    q = len(m)
+    if q > 3:
+        return float(np.linalg.det(m))
+    if q == 0:
+        return 1.0
+    if q == 1:
+        return float(m[0, 0])
+    if q == 2:
+        (a, b), (c, d) = m.tolist()
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
     """Alternating evaluation with the 1/q! normalization."""
     q = form.degree
@@ -199,8 +245,7 @@ def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
         raise ChartMismatch("vector length does not match chart dimension")
     total = None
     for idx in combinations(range(form.dim), q):
-        sub = vecs[:, idx]
-        det = float(np.linalg.det(sub))
+        det = _minor(vecs[:, idx])
         if det == 0.0:
             continue
         term = det * np.asarray(form.coeff(point, idx))
@@ -258,7 +303,7 @@ def pullback(
         J = jac(u)
         total = None
         for I in combinations(range(form.dim), q):
-            minor = float(np.linalg.det(J[np.ix_(I, idx)])) if q else 1.0
+            minor = _minor(J[np.ix_(I, idx)])
             if minor == 0.0:
                 continue
             term = minor * np.asarray(form.coeff(x, I))

@@ -296,3 +296,94 @@ class TestMaxCoeff:
     def test_nan_coefficient_is_not_dropped(self):
         form = fc.FormField(1, 2, lambda p, idx: np.nan if idx == (1,) else 0.0)
         assert np.isnan(fc.max_coeff(form, [np.zeros(2)]))
+
+
+class TestMinor:
+    def test_triangular_2x2_is_exact(self):
+        rng = np.random.default_rng(3)
+        for a, b in rng.standard_normal((1000, 2)):
+            assert fc._minor(np.array([[1.0, a], [0.0, b]])) == b
+
+    def test_3x3_matches_lu(self):
+        # scaled by the Hadamard bound, the largest |det| rows of these norms allow
+        rng = np.random.default_rng(4)
+        for m in rng.standard_normal((1000, 3, 3)):
+            scale = np.prod(np.linalg.norm(m, axis=1))
+            assert abs(fc._minor(m) - np.linalg.det(m)) <= 1e-15 * scale
+
+    def test_small_and_large_orders(self):
+        m = RNG.standard_normal((4, 4))
+        assert fc._minor(np.zeros((0, 0))) == 1.0
+        assert fc._minor(m[:1, :1]) == m[0, 0]
+        assert fc._minor(m) == float(np.linalg.det(m))
+
+
+class TestMemo:
+    @staticmethod
+    def counted(value):
+        calls = []
+
+        def raw(p, idx):
+            calls.append((np.asarray(p).tobytes(), idx))
+            return value(p, idx)
+
+        return raw, calls
+
+    def test_repeat_is_computed_once_and_new_point_again(self):
+        raw, calls = self.counted(lambda p, idx: p[idx[0]] * np.ones(2))
+        form = fc.FormField(1, 2, raw)
+        p = np.array([0.5, 2.0])
+        for _ in range(3):
+            form.coeff(p, (1,))
+        form.coeff(p.copy(), [1])
+        assert len(calls) == 1
+        form.coeff(p, (0,))
+        assert len(calls) == 2
+        np.testing.assert_array_equal(form.coeff(p + 1.0, (1,)), [3.0, 3.0])
+        assert len(calls) == 3
+        form.coeff(p, (1,))  # the new point dropped the old values
+        assert len(calls) == 4
+
+    def test_returned_array_is_read_only(self):
+        form = fc.FormField(1, 2, lambda p, idx: np.ones((2, 2)))
+        val = form.coeff(np.zeros(2), (0,))
+        with pytest.raises(ValueError):
+            val += 1.0
+        np.testing.assert_array_equal(form.coeff(np.zeros(2), (0,)), np.ones((2, 2)))
+
+    def test_single_term_value_stays_writeable(self):
+        value = np.ones((2, 2))
+        form = fc.single_term_form(2, (0, 1), value)
+        e0, e1 = np.eye(2)
+        fc.evaluate(form, np.zeros(2), [e0, e1])
+        assert not form.coeff(np.zeros(2), (0, 1)).flags.writeable
+        assert value.flags.writeable
+        value += 1.0
+
+    def test_nearby_points_never_share_a_value(self):
+        # the value's sign tells -0.0 from 0.0
+        raw, calls = self.counted(lambda p, idx: float(np.copysign(1.0, p[0]) + p[0]))
+        form = fc.FormField(1, 1, raw)
+        x = np.array([1.0])
+        up = np.nextafter(x, 2.0)
+        assert form.coeff(x, (0,)) == 2.0
+        assert form.coeff(up, (0,)) == 1.0 + up[0]
+        assert form.coeff(np.array([0.0]), (0,)) == 1.0
+        assert form.coeff(np.array([-0.0]), (0,)) == -1.0
+        assert form.coeff(np.array([-0.0]), (0,)) == -1.0
+        assert len(calls) == 4
+
+    def test_forms_from_one_closure_keep_separate_memos(self):
+        raw, calls = self.counted(lambda p, idx: float(p[0]))
+        a, b = fc.FormField(1, 1, raw), fc.FormField(1, 1, raw)
+        p = np.array([0.25])
+        a.coeff(p, (0,))
+        b.coeff(p, (0,))
+        a.coeff(p, (0,))
+        assert len(calls) == 2
+
+    def test_memo_keeps_the_closure_module(self):
+        def f(p, idx):
+            return 0.0
+
+        assert fc.FormField(1, 2, f).coeff.__module__ == f.__module__

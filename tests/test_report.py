@@ -362,7 +362,10 @@ class TestStep:
     # central difference at fd_step.  The pontrjagyn checks compare two forms
     # built from the same finite-difference curvature, so their round-off
     # residuals move too.  The rest (exact identities and the fixed-step
-    # refinement ratios) must not see --step at all.
+    # refinement ratios) must not see --step at all.  Each suite runs at one
+    # fixed seed.  The caloron suite runs at seed 1: at the default seed the
+    # round-off residual of caloron.pontrjagyn_matches_string happens to keep
+    # every bit (1.04e-17) when the step moves.
     FD_CHECKS = {
         "string": [
             "string.closed.k1",
@@ -383,11 +386,13 @@ class TestStep:
         ],
     }
 
-    @pytest.mark.parametrize("suite", ["string", "caloron"])
-    def test_step_reaches_every_stencil(self, suite):
+    @pytest.mark.parametrize(
+        "suite, seed", [("string", rp.DEFAULT_SEED), ("caloron", 1)], ids=["string", "caloron"]
+    )
+    def test_step_reaches_every_stencil(self, suite, seed):
         residuals = {}
         for h in (1e-4, 1e-3):
-            rep = rp.run_suite(rp.RunConfig(suite=suite, samples=16, fd_step=h))
+            rep = rp.run_suite(rp.RunConfig(suite=suite, samples=16, fd_step=h, seed=seed))
             residuals[h] = {c.name: c.residual for c in rep.checks}
         assert set(self.FD_CHECKS[suite]) < set(residuals[1e-4])
         for name, r in residuals[1e-4].items():
