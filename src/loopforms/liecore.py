@@ -134,78 +134,24 @@ def eval_invariant_polynomial(f: InvariantPolynomial, args) -> float | np.ndarra
 
     Arguments may be single matrices (n, n) or stacks (..., n, n); the
     trace is taken over the trailing pair of axes, so loop-valued inputs
-    evaluate pointwise along the loop.
+    evaluate pointwise along the loop.  The trace is cyclic, so the k!
+    orderings fall into (k-1)! classes of equal traces: the sum runs over
+    the orderings that keep ``args[0]`` first, each a product of the first
+    k-1 factors paired with the last one by a trace.
     """
     k = f.degree
     if len(args) != k:
         raise ArityError(f"expected {k} arguments, got {len(args)}")
-    acc = None
-    for perm in permutations(range(k)):
-        prod = args[perm[0]]
-        for i in perm[1:]:
-            prod = prod @ args[i]
-        tr = np.einsum("...ii->...", prod)
-        acc = tr if acc is None else acc + tr
-    out = np.real((1j ** k) * acc) * (f.scale / factorial(k))
+    if k == 1:
+        acc = np.einsum("...ii->...", args[0])
+    else:
+        acc = 0.0
+        for perm in permutations(args[1:]):
+            prod = args[0]
+            for x in perm[:-1]:
+                prod = prod @ x
+            acc = acc + np.einsum("...ij,...ji->...", prod, perm[-1])
+    out = np.real((1j ** k) * acc) * (f.scale / factorial(k - 1))
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def check_ad_invariance_identity(
-    f: InvariantPolynomial,
-    phis,
-    degrees,
-    a_value: np.ndarray,
-    a_degree: int,
-) -> float:
-    """Residual of the graded expansion of f([phi_1, A], phi_2, ..., phi_k).
-
-    Each supplied value stands in for the coefficient of a single-term
-    form of the stated degree.  The forms are materialized on a chart of
-    disjoint index blocks so the (-1)^{p q} reordering signs in
-
-        f([phi_1, A], phi_2, ...) = f(phi_1, [A, phi_2], ...)
-                                    + (-1)^{p q_2} f(phi_1, phi_2, [A, phi_3], ...) + ...
-
-    are exercised for real, not assumed.
-    """
-    from . import formscalc as fc
-
-    k = len(phis)
-    if k != f.degree:
-        raise ArityError(f"expected {f.degree} form values, got {k}")
-    degrees = list(degrees)
-    if len(degrees) != k:
-        raise ArityError("one degree per form value required")
-
-    dim = sum(degrees) + a_degree
-    blocks: list[tuple[int, ...]] = []
-    cursor = 0
-    for q in degrees:
-        blocks.append(tuple(range(cursor, cursor + q)))
-        cursor += q
-    a_block = tuple(range(cursor, cursor + a_degree))
-
-    phi_forms = [
-        fc.single_term_form(dim, blocks[i], phis[i]) for i in range(k)
-    ]
-    a_form = fc.single_term_form(dim, a_block, a_value)
-
-    def feval(values):
-        return eval_invariant_polynomial(f, values)
-
-    point = np.zeros(dim)
-    full = tuple(range(dim))
-
-    lhs_form = fc.poly_wedge([fc.wedge_bracket(phi_forms[0], a_form)] + phi_forms[1:], feval)
-    lhs = lhs_form.coeff(point, full)
-
-    rhs = 0.0
-    p = a_degree
-    for j in range(1, k):
-        sign = (-1) ** (p * sum(degrees[1:j]))
-        slots = list(phi_forms)
-        slots[j] = fc.wedge_bracket(a_form, phi_forms[j])
-        rhs = rhs + sign * fc.poly_wedge(slots, feval).coeff(point, full)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, pi, prod, sqrt
 
 import numpy as np
@@ -186,13 +187,15 @@ def _antisym_eval(contractions, degrees, frame):
     """Antisymmetrization (1/Q!) sum_sigma sgn(sigma) c(frame o sigma) of a
     slot contraction c over a frame.
 
-    ``contractions`` maps a tuple of frame values (one per slot argument)
-    to a value; slots consume ``degrees`` arguments each.  Each contraction
-    must be antisymmetric within each slot (the 2-slots here take
-    ``a@b - b@a``), so the q_i! orderings inside a block give equal terms:
-    the sum runs over the block shuffles of ``formscalc._split_patterns``
-    with weight prod q_i! / Q! (30 terms instead of 120 for degrees
-    (1, 2, 2)).
+    ``contractions`` maps a tuple of frame entries (one per slot argument)
+    to a value; slots consume ``degrees`` arguments each.  The entries may
+    be indices (``range(Q)``) into values the caller computed once per
+    frame vector or pair: each block lists its positions in increasing
+    order.  Each contraction must be antisymmetric within each slot (the
+    2-slots here take ``a@b - b@a``), so the q_i! orderings inside a block
+    give equal terms: the sum runs over the block shuffles of
+    ``formscalc._split_patterns`` with weight prod q_i! / Q! (30 terms
+    instead of 120 for degrees (1, 2, 2)).
     """
     Q = sum(degrees)
     if len(frame) != Q:
@@ -205,6 +208,16 @@ def _antisym_eval(contractions, degrees, frame):
     return total * (prod(factorial(q) for q in degrees) / factorial(Q))
 
 
+def _frame_values(p: PathPoint, frame, alpha: CutoffFunction):
+    """nabla Phi on each frame vector and F on each pair i < j."""
+    nab = [pf_nabla_phi(p, V, alpha) for V in frame]
+    curv = {
+        (i, j): pf_curvature(p, frame[i], frame[j], alpha)
+        for i, j in combinations(range(len(frame)), 2)
+    }
+    return nab, curv
+
+
 def pf_string_class_vs_generator(
     p: PathPoint,
     frame,
@@ -213,16 +226,15 @@ def pf_string_class_vs_generator(
     """Antisymmetrized -(1/4 pi^2) Int <F, nabla Phi> dtheta on an endpoint
     frame, against the degree-three generator (1/48 pi^2) <., [., .]>."""
     V1, V2, V3 = frame
+    nab, curv = _frame_values(p, frame, alpha)
 
     def contraction(blocks):
-        (a, b), (c,) = blocks
-        F = pf_curvature(p, a, b, alpha)
-        nab = pf_nabla_phi(p, c, alpha)
+        pair, (c,) = blocks
         return lp.circle_integral(
-            np.real(-np.einsum("jab,jba->j", F, nab))
+            np.real(-np.einsum("jab,jba->j", curv[pair], nab[c]))
         )
 
-    lhs = -_antisym_eval(contraction, (2, 1), [V1, V2, V3]) / (4.0 * pi ** 2)
+    lhs = -_antisym_eval(contraction, (2, 1), range(3)) / (4.0 * pi ** 2)
 
     def gen(blocks):
         (a,), (b, c) = blocks
@@ -243,15 +255,13 @@ def pf_higher_string_vs_transgression(
     values, against the transgression evaluation of f."""
     if len(frame) != 2 * k - 1:
         raise ValueError("need 2k-1 frame values")
+    nab, curv = _frame_values(p, frame, alpha)
 
     def contraction(blocks):
-        nab = pf_nabla_phi(p, blocks[0][0], alpha)
-        args = [nab]
-        for a, b in blocks[1:]:
-            args.append(pf_curvature(p, a, b, alpha))
+        args = [nab[blocks[0][0]]] + [curv[pair] for pair in blocks[1:]]
         return lp.circle_integral(eval_invariant_polynomial(f, args))
 
-    lhs = k * _antisym_eval(contraction, (1,) + (2,) * (k - 1), list(frame))
+    lhs = k * _antisym_eval(contraction, (1,) + (2,) * (k - 1), range(len(frame)))
     rhs = transgression_tau(f, k, frame)
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 

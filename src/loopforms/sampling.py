@@ -10,6 +10,7 @@ differences are accurate to O(h^2) with tiny constants.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,10 +26,17 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 
 
 def random_algebra(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = 0.5 * (z - z.conj().T)
-    x -= np.trace(x) / n * np.eye(n)
-    return scale * x
+    return scale * _random_algebras(rng, 1, n)[0]
+
+
+def _random_algebras(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m draws of ``random_algebra`` from one normal draw: the same stream,
+    and the same values bit for bit, as m separate calls."""
+    g = rng.standard_normal((m, 2, n, n))
+    z = g[:, 0] + 1j * g[:, 1]
+    x = 0.5 * (z - z.conj().swapaxes(-1, -2))
+    x -= (np.trace(x, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+    return x
 
 
 def random_group(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -37,17 +45,28 @@ def random_group(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.nda
     return exponential(random_algebra(rng, n, scale))
 
 
+@lru_cache(maxsize=32)  # a run draws on a handful of (N, kmax) grids
+def _trig_table(N: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos(k theta) and sin(k theta), k = 0..kmax, on the grid:
+    every caller shares them."""
+    theta = lp.grid(N)
+    table = tuple(np.array([f(k * theta) for k in range(kmax + 1)]) for f in (np.cos, np.sin))
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
 def bandlimited_algebra_loop(
     rng: np.random.Generator, N: int, n: int, kmax: int = 3, scale: float = 0.5
 ) -> np.ndarray:
-    theta = lp.grid(N)
+    # draw order: the cos-0 element, then the cos-k, sin-k pair for each k
+    x = _random_algebras(rng, 2 * kmax + 1, n)
+    cos, sin = _trig_table(N, kmax)
     out = np.zeros((N, n, n), dtype=complex)
-    for k in range(kmax + 1):
-        xc = random_algebra(rng, n)
-        out += np.cos(k * theta)[:, None, None] * xc
-        if k > 0:
-            xs = random_algebra(rng, n)
-            out += np.sin(k * theta)[:, None, None] * xs
+    out += cos[0][:, None, None] * x[0]
+    for k in range(1, kmax + 1):
+        out += cos[k][:, None, None] * x[2 * k - 1]
+        out += sin[k][:, None, None] * x[2 * k]
     return scale * out / (kmax + 1)
 
 
@@ -60,12 +79,12 @@ def bandlimited_group_loop(
 def bandlimited_scalar_loop(
     rng: np.random.Generator, N: int, kmax: int = 3, scale: float = 1.0
 ) -> np.ndarray:
-    theta = lp.grid(N)
+    cos, sin = _trig_table(N, kmax)
     out = np.zeros(N)
     for k in range(kmax + 1):
-        out += rng.standard_normal() * np.cos(k * theta)
+        out += rng.standard_normal() * cos[k]
         if k > 0:
-            out += rng.standard_normal() * np.sin(k * theta)
+            out += rng.standard_normal() * sin[k]
     return scale * out / (kmax + 1)
 
 
@@ -198,4 +217,4 @@ def random_chart_points(
 
 
 def random_frame(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
-    return [random_algebra(rng, n) for _ in range(count)]
+    return list(_random_algebras(rng, count, n))

@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,13 @@ from loopforms.liecore import (
     InvariantPolynomial,
     adjoint_group,
     bracket,
-    check_ad_invariance_identity,
     eval_invariant_polynomial,
     exponential,
     killing,
     su2_basis,
     sun_basis,
 )
+from loopforms.report import check_ad_invariance_identity
 
 RNG = np.random.default_rng(101)
 X1, X2, X3 = su2_basis()
@@ -175,6 +178,65 @@ class TestInvariantPolynomial:
         h = np.diag([1j, 1j, -2j])
         f = InvariantPolynomial(3)
         assert abs(eval_invariant_polynomial(f, [h, h, h])) > 1.0
+
+
+def _symmetrized_trace_reference(f, args):
+    """All k! orderings of the trace, without using its cyclicity."""
+    k = len(args)
+    acc = 0.0
+    for perm in permutations(args):
+        prod = perm[0]
+        for x in perm[1:]:
+            prod = prod @ x
+        acc = acc + np.einsum("...ii->...", prod)
+    return np.real((1j ** k) * acc) * (f.scale / factorial(k))
+
+
+class TestCyclicTrace:
+    # the k! orderings of the reference and the (k-1)! of the cyclic sum
+    # round differently; each trace of a k-fold product is off by a few
+    # ulps of prod |X_i|_F
+    @staticmethod
+    def _bound(f, args):
+        norms = [np.max(np.linalg.norm(x, axis=(-2, -1))) for x in args]
+        return 8 * np.finfo(float).eps * factorial(len(args)) * np.prod(norms) * abs(f.scale)
+
+    @staticmethod
+    def _draw(rng, algebra, n, stack):
+        # su(n) values, or generic complex matrices: on these the orderings
+        # have distinct traces and no degree vanishes identically, as k = 1
+        # does on su(n) and k = 3 on su(2)
+        count = int(np.prod(stack))
+        if algebra == "su":
+            x = np.stack([sampling.random_algebra(rng, n) for _ in range(count)])
+        else:
+            x = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        return x.reshape(stack + (n, n))
+
+    @pytest.mark.parametrize("stack", [(), (5,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("algebra", ["su", "gl"])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_all_orderings(self, k, n, algebra, stack):
+        rng = np.random.default_rng([k, n, len(stack)])
+        f = InvariantPolynomial(k, 0.7)
+        args = [self._draw(rng, algebra, n, stack) for _ in range(k)]
+        got = eval_invariant_polynomial(f, args)
+        want = _symmetrized_trace_reference(f, args)
+        assert np.shape(got) == stack
+        if algebra == "gl":
+            assert np.min(np.abs(want)) > 1e-3
+        assert np.max(np.abs(got - want)) <= self._bound(f, args)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_argument_order_moves_only_roundoff(self, k):
+        rng = np.random.default_rng(k)
+        f = InvariantPolynomial(k)
+        args = [sampling.random_algebra(rng, 3) for _ in range(k)]
+        base = eval_invariant_polynomial(f, args)
+        for perm in permutations(range(k)):
+            moved = eval_invariant_polynomial(f, [args[i] for i in perm])
+            assert abs(moved - base) <= self._bound(f, args)
 
 
 class TestAdInvarianceLemma:
