@@ -20,12 +20,19 @@ from . import loopspace as lp
 from .liecore import InvariantPolynomial, eval_invariant_polynomial
 
 
+class _HiggsChart:
+    """Takes Phi as a 0-form; a plain callable p -> Phi(p) is wrapped into one."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phi", fc.chart_function(self.phi, self.dim))
+
+
 @dataclass(frozen=True)
-class LGConnectionData:
+class LGConnectionData(_HiggsChart):
     """Chart data (A, Phi) of a loop-group bundle connection."""
 
     A: fc.FormField
-    phi: Callable[[np.ndarray], np.ndarray]
+    phi: fc.FormField | Callable[[np.ndarray], np.ndarray]
     dim: int
     N: int
     n: int
@@ -33,12 +40,12 @@ class LGConnectionData:
 
 
 @dataclass(frozen=True)
-class LGxS1ConnectionData:
+class LGxS1ConnectionData(_HiggsChart):
     """Chart data (A, a, Phi) of a rotation-extended loop-group connection."""
 
     A: fc.FormField
     a: fc.FormField
-    phi: Callable[[np.ndarray], np.ndarray]
+    phi: fc.FormField | Callable[[np.ndarray], np.ndarray]
     dim: int
     N: int
     n: int
@@ -56,19 +63,6 @@ def partial_theta(form: fc.FormField) -> fc.FormField:
     return fc.FormField(
         form.degree, form.dim, lambda p, idx: lp.loop_derivative(form.coeff(p, idx))
     )
-
-
-def _dphi_form(c) -> fc.FormField:
-    """Chart differential of the Higgs field as a loop-valued 1-form."""
-    h = c.fd_step
-
-    def coeff(p, idx):
-        (i,) = idx
-        e = np.zeros(c.dim)
-        e[i] = h
-        return lp.central(c.phi(p + e), c.phi(p - e), h)
-
-    return fc.FormField(1, c.dim, coeff)
 
 
 def _bracket_A_phi(c) -> fc.FormField:
@@ -90,7 +84,8 @@ def curvature_lg(c: LGConnectionData) -> CurvaturePair:
 def covariant_higgs_lg(c: LGConnectionData) -> fc.FormField:
     """nabla Phi = dPhi + [A, Phi] - dA/dtheta."""
     return fc.form_sum(
-        [_dphi_form(c), _bracket_A_phi(c), partial_theta(c.A)], [1.0, 1.0, -1.0]
+        [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A)],
+        [1.0, 1.0, -1.0],
     )
 
 
@@ -132,7 +127,7 @@ def covariant_higgs_lgxs1(c: LGxS1ConnectionData) -> fc.FormField:
 
     twist = fc.FormField(1, c.dim, twist_coeff)
     return fc.form_sum(
-        [_dphi_form(c), _bracket_A_phi(c), partial_theta(c.A), twist],
+        [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A), twist],
         [1.0, 1.0, -1.0, -1.0],
     )
 
@@ -190,14 +185,8 @@ def independence_homotopy_form(
         raise ValueError(f"polynomial degree {f.degree} != k = {k}")
 
     alpha = fc.form_sum([c1.A, c0.A], [1.0, -1.0])
-
-    def varphi(p):
-        return c1.phi(p) - c0.phi(p)
-
-    diff_cyl = fc.CylinderForm(
-        beta=alpha,
-        gamma=fc.FormField(0, c0.dim, lambda p, idx: varphi(p)),
-    )
+    varphi = fc.FormField(0, c0.dim, lambda p, idx: c1.phi(p) - c0.phi(p))
+    diff_cyl = fc.CylinderForm(beta=alpha, gamma=varphi)
 
     ts = np.linspace(0.0, 1.0, t_steps + 1)
     w = np.ones(t_steps + 1)
@@ -207,10 +196,7 @@ def independence_homotopy_form(
     terms = []
     for t in ts:
         At = fc.form_sum([c0.A, alpha], [1.0, float(t)])
-
-        def phit(p, t=t):
-            return c0.phi(p) + t * varphi(p)
-
+        phit = fc.FormField(0, c0.dim, lambda p, idx, t=t: c0.phi(p) + t * varphi(p))
         ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
         cyl_t = string_cylinder_lg(ct)
         integrand = fc.cyl_poly_wedge(
@@ -227,34 +213,31 @@ def gauge_transform(c, sigma):
     For plain loop-group data sigma maps chart points to group loops; for
     rotation-extended data it returns SemiDirectGroupElement values.  The
     connection picks up the adjoint twist plus the Maurer-Cartan shift,
-    the Higgs field its twisted equivariance shift.
+    the Higgs field its twisted equivariance shift.  sigma is taken as a
+    0-form (a plain callable is wrapped), so its stencil points are kept.
     """
-    h = c.fd_step
-
-    def dsigma(p, i):
-        e = np.zeros(c.dim)
-        e[i] = h
-        return lp.central(sigma(p + e), sigma(p - e), h)
+    sigma = fc.chart_function(sigma, c.dim)
+    dsigma = fc.exterior_derivative(sigma, c.fd_step)
 
     if isinstance(c, LGConnectionData):
 
         def A_coeff(p, idx):
-            (i,) = idx
             g = sigma(p)
             ginv = lp.loop_inverse(g)
-            return ginv @ c.A.coeff(p, idx) @ g + ginv @ dsigma(p, i)
+            return ginv @ c.A.coeff(p, idx) @ g + ginv @ dsigma.coeff(p, idx)
 
-        def phi(p):
+        def phi(p, idx):
             g = sigma(p)
             ginv = lp.loop_inverse(g)
             return ginv @ c.phi(p) @ g + ginv @ lp.loop_derivative(g)
 
-        return replace(c, A=fc.FormField(1, c.dim, A_coeff), phi=phi)
+        return replace(
+            c, A=fc.FormField(1, c.dim, A_coeff), phi=fc.FormField(0, c.dim, phi)
+        )
 
     if isinstance(c, LGxS1ConnectionData):
 
         def A_coeff(p, idx):
-            (i,) = idx
             s = sigma(p)
             g, ang = s.loop_part, s.angle
             ginv = lp.loop_inverse(g)
@@ -262,15 +245,14 @@ def gauge_transform(c, sigma):
             inner = (
                 ginv @ c.A.coeff(p, idx) @ g
                 - fc._scalar_times(ai, ginv @ lp.loop_derivative(g))
-                + ginv @ dsigma(p, i).loop_part
+                + ginv @ dsigma.coeff(p, idx).loop_part
             )
             return lp.rotate(-ang, inner)
 
         def a_coeff(p, idx):
-            (i,) = idx
-            return c.a.coeff(p, idx) + dsigma(p, i).circle_part
+            return c.a.coeff(p, idx) + dsigma.coeff(p, idx).circle_part
 
-        def phi(p):
+        def phi(p, idx):
             s = sigma(p)
             g, ang = s.loop_part, s.angle
             ginv = lp.loop_inverse(g)
@@ -280,7 +262,7 @@ def gauge_transform(c, sigma):
             c,
             A=fc.FormField(1, c.dim, A_coeff),
             a=fc.FormField(1, c.dim, a_coeff),
-            phi=phi,
+            phi=fc.FormField(0, c.dim, phi),
         )
 
     raise TypeError(f"unsupported connection data {type(c)!r}")

@@ -31,6 +31,8 @@ import numpy as np
 from .loopspace import central, circle_integral
 
 PULLBACK_STEP = 1e-5  # step of pullback's finite-difference Jacobian
+# Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
+STENCIL_POINTS = 16
 
 
 class ChartMismatch(ValueError):
@@ -46,7 +48,9 @@ class FormField:
     """Degree-q alternating form given by coefficients on increasing tuples.
 
     ``coeff`` must be pure in (point, idx).  The form keeps the values of
-    the last point it was asked (see :func:`_memo`).
+    the last point it was asked, a 0-form those of the last
+    ``STENCIL_POINTS`` points (see :func:`_memo`).  A 0-form such as a Higgs
+    field or a gauge map is called on a point: ``phi(p)``.
     """
 
     degree: int
@@ -56,25 +60,43 @@ class FormField:
     def __post_init__(self) -> None:
         if self.degree < 0 or self.dim < 1:
             raise DegreeError(f"bad degree {self.degree} or dim {self.dim}")
-        object.__setattr__(self, "coeff", _memo(self.coeff))
+        points = STENCIL_POINTS if self.degree == 0 else 1
+        object.__setattr__(self, "coeff", _memo(self.coeff, points))
+
+    def __call__(self, p):
+        if self.degree != 0:
+            raise DegreeError(f"only a 0-form takes a point, not degree {self.degree}")
+        return self.coeff(p, ())
 
 
-def _memo(raw):
-    """``raw`` with its values kept for the last point asked.
+def chart_function(fn, dim: int) -> FormField:
+    """A chart map p -> value as a 0-form; a 0-form passes through."""
+    if isinstance(fn, FormField):
+        if (fn.degree, fn.dim) != (0, dim):
+            raise DegreeError(f"need a 0-form on {dim} dims, got degree {fn.degree} on {fn.dim}")
+        return fn
+    return FormField(0, dim, lambda p, idx: fn(p))
+
+
+def _memo(raw, points: int):
+    """``raw`` with its values kept for the last ``points`` points asked.
 
     Points are told apart by their bytes, so one ulp or the sign of a zero
-    makes a new point, and a new point drops the old values.  Arrays come
-    back as read-only views: an in-place update by a caller raises rather
-    than corrupting the memo, and an array the closure owns stays writeable.
+    makes a new point; past ``points`` of them the earliest is dropped.
+    Arrays come back as read-only views: an in-place update by a caller
+    raises rather than corrupting the memo, and an array the closure owns
+    stays writeable.
     """
-    last: list = [None, {}]  # point bytes, {idx: value} at that point
+    kept: dict = {}  # point bytes -> {idx: value}, oldest point first
 
     @wraps(raw, updated=())
     def coeff(p, idx):
         key = np.asarray(p, dtype=float).tobytes()
-        if key != last[0]:
-            last[:] = key, {}
-        values = last[1]
+        values = kept.get(key)
+        if values is None:
+            if len(kept) == points:
+                del kept[next(iter(kept))]
+            values = kept[key] = {}
         idx = tuple(idx)
         try:
             return values[idx]
@@ -208,11 +230,6 @@ def single_term_form(dim: int, block: tuple[int, ...], value) -> FormField:
     return FormField(len(block), dim, coeff)
 
 
-def zero_form(dim: int, degree: int, like) -> FormField:
-    zero = np.zeros_like(np.asarray(like))
-    return FormField(degree, dim, lambda p, idx: zero)
-
-
 def _minor(m) -> float:
     """Determinant of a q x q minor: products for q <= 3, LU beyond.
 
@@ -256,7 +273,11 @@ def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
 
 
 def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
-    """Exterior derivative by central differences of the coefficients."""
+    """Exterior derivative by central differences of the coefficients.
+
+    Values go to :func:`central` as they are, so the d of a group-valued
+    0-form (an LG or LG x| S1 gauge map) is its algebra-valued difference.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
 
@@ -266,8 +287,7 @@ def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
             e = np.zeros(form.dim)
             e[j] = step
             rest = idx[:m] + idx[m + 1 :]
-            hi, lo = (np.asarray(form.coeff(x, rest)) for x in (p + e, p - e))
-            d = central(hi, lo, step)
+            d = central(form.coeff(p + e, rest), form.coeff(p - e, rest), step)
             term = d if m % 2 == 0 else -d
             total = term if total is None else total + term
         return total

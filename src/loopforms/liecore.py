@@ -35,19 +35,6 @@ def _require_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
         raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
 
 
-def is_algebra_element(X: np.ndarray, tol: float = 1e-10) -> bool:
-    return (
-        float(np.max(np.abs(X + X.conj().T))) < tol
-        and abs(complex(np.trace(X))) < tol
-    )
-
-
-def is_group_element(g: np.ndarray, tol: float = 1e-10) -> bool:
-    n = g.shape[0]
-    unitarity = float(np.max(np.abs(g @ g.conj().T - np.eye(n))))
-    return unitarity < tol and abs(complex(np.linalg.det(g)) - 1.0) < tol
-
-
 def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Commutator [X, Y] = XY - YX."""
     _require_same_shape(X, Y)
@@ -69,14 +56,6 @@ def adjoint_group(g: np.ndarray, X: np.ndarray) -> np.ndarray:
 def exponential(X: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade)."""
     return _expm(X)
-
-
-def su2_basis() -> list[np.ndarray]:
-    """X_a = -(i/2) sigma_a with [X_1, X_2] = X_3 and cyclic."""
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return [-0.5j * s1, -0.5j * s2, -0.5j * s3]
 
 
 def sun_basis(n: int) -> list[np.ndarray]:

@@ -144,12 +144,6 @@ def semidirect_multiply(
     )
 
 
-def semidirect_inverse(g: SemiDirectGroupElement) -> SemiDirectGroupElement:
-    return SemiDirectGroupElement(
-        rotate(-g.angle, loop_inverse(g.loop_part)), -g.angle
-    )
-
-
 def semidirect_bracket(
     a: SemiDirectAlgebraElement, b: SemiDirectAlgebraElement
 ) -> SemiDirectAlgebraElement:

@@ -52,11 +52,6 @@ class PathTangent:
     endpoint: np.ndarray  # (n, n)
 
 
-def identity_path(N: int, n: int) -> PathPoint:
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (N, n, n)).copy()
-    return PathPoint(eye, np.eye(n, dtype=complex))
-
-
 def tangent_from_based_loop(p: PathPoint, xi: np.ndarray) -> PathTangent:
     """Fundamental vector field of a based algebra loop (xi(0) = 0)."""
     r = p.samples @ xi @ lp.loop_inverse(p.samples)
@@ -119,27 +114,6 @@ def default_cutoff(N: int) -> CutoffFunction:
 def alternate_cutoff(N: int) -> CutoffFunction:
     """A second admissible cutoff, for choice-independence probes."""
     return _bump_cutoff(N, sharpness=2.0, wobble=0.7)
-
-
-def cutoff_endpoint_flatness(
-    sharpness: float = 1.0, wobble: float = 0.0, probe: float = 5e-4
-) -> float:
-    """Estimate of the first four derivatives of alpha at the endpoints.
-
-    One-sided difference quotients of the analytic derivative at sub-grid
-    probe scale; the bump vanishes to all orders there, so these are
-    bounded by b(4 probe)/probe^3 and sit far below any tolerance.
-    """
-    lo = _bump_at(probe * np.arange(6.0), sharpness, wobble)
-    hi = _bump_at(2.0 * pi - probe * np.arange(6.0), sharpness, wobble)
-    worst = max(float(np.max(lo)), float(np.max(hi)))  # alpha' itself
-    for k in range(1, 4):  # difference quotients of alpha' up to third order
-        worst = max(
-            worst,
-            float(np.max(np.abs(np.diff(lo, n=k)))) / probe ** k,
-            float(np.max(np.abs(np.diff(hi, n=k)))) / probe ** k,
-        )
-    return worst
 
 
 def pf_connection(p: PathPoint, X: PathTangent, alpha: CutoffFunction) -> np.ndarray:

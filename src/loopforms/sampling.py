@@ -76,18 +76,6 @@ def bandlimited_group_loop(
     return lp.exp_loop(bandlimited_algebra_loop(rng, N, n, kmax, scale))
 
 
-def bandlimited_scalar_loop(
-    rng: np.random.Generator, N: int, kmax: int = 3, scale: float = 1.0
-) -> np.ndarray:
-    cos, sin = _trig_table(N, kmax)
-    out = np.zeros(N)
-    for k in range(kmax + 1):
-        out += rng.standard_normal() * cos[k]
-        if k > 0:
-            out += rng.standard_normal() * sin[k]
-    return scale * out / (kmax + 1)
-
-
 def random_poly(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Callable:
     """Random cubic-ish polynomial chart function."""
     c0 = rng.standard_normal()
@@ -143,17 +131,18 @@ def random_real_one_form(
 def random_higgs_field(
     rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 3,
     terms: int = 2, scale: float = 0.6,
-) -> Callable:
+) -> fc.FormField:
+    """Loop-algebra-valued 0-form p |-> sum_j p_j(p) xi_j(theta)."""
     polys = [random_poly(rng, dim) for _ in range(terms)]
     loops = [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
 
-    def phi(p):
+    def phi(p, idx):
         out = np.zeros((N, n, n), dtype=complex)
         for f, xi in zip(polys, loops):
             out += f(p) * xi
         return scale * out / terms
 
-    return phi
+    return fc.FormField(0, dim, phi)
 
 
 def random_lg_connection(
@@ -182,32 +171,33 @@ def random_lgxs1_connection(
 def random_gauge_loop(
     rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 2,
     scale: float = 0.5,
-) -> Callable:
-    """Smooth chart -> LG map x |-> exp(sum_j p_j(x) xi_j(theta))."""
+) -> fc.FormField:
+    """Smooth chart -> LG map x |-> exp(sum_j p_j(x) xi_j(theta)), a 0-form."""
     terms = 2
     polys = [random_poly(rng, dim, scale=scale) for _ in range(terms)]
     loops = [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
 
-    def sigma(p):
+    def sigma(p, idx):
         acc = np.zeros((N, n, n), dtype=complex)
         for f, xi in zip(polys, loops):
             acc += f(p) * xi
         return lp.exp_loop(acc / terms)
 
-    return sigma
+    return fc.FormField(0, dim, sigma)
 
 
 def random_semidirect_gauge(
     rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 2,
     scale: float = 0.5,
-) -> Callable:
+) -> fc.FormField:
+    """Smooth chart -> LG x| S1 map, a 0-form with SemiDirectGroupElement values."""
     loop_part = random_gauge_loop(rng, dim, N, n, kmax, scale)
     angle_poly = random_poly(rng, dim, scale=0.3)
 
-    def sigma(p):
+    def sigma(p, idx):
         return lp.SemiDirectGroupElement(loop_part(p), angle_poly(p))
 
-    return sigma
+    return fc.FormField(0, dim, sigma)
 
 
 def random_chart_points(

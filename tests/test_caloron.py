@@ -5,6 +5,8 @@ import pytest
 
 from loopforms import caloron, connections as cn, formscalc as fc, sampling
 
+from helpers import zero_form
+
 RNG = np.random.default_rng(37)
 N = 32
 
@@ -12,7 +14,7 @@ N = 32
 def _flat_connection(dim, n=2):
     zero = np.zeros((N, n, n), dtype=complex)
     return cn.LGConnectionData(
-        fc.zero_form(dim, 1, zero), lambda p: zero, dim, N, n
+        zero_form(dim, 1, zero), lambda p: zero, dim, N, n
     )
 
 
@@ -123,7 +125,7 @@ class TestTransport:
         phi_const = sampling.random_algebra(RNG, 2, 0.7)
         a = sampling.random_real_one_form(RNG, dim)
         c = cn.LGxS1ConnectionData(
-            fc.zero_form(dim, 1, zero),
+            zero_form(dim, 1, zero),
             a,
             lambda p: np.broadcast_to(phi_const, (N, 2, 2)).copy(),
             dim, N, 2,

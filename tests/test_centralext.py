@@ -6,7 +6,9 @@ from loopforms import connections as cn
 from loopforms import formscalc as fc
 from loopforms import loopspace as lp
 from loopforms import sampling
-from loopforms.liecore import killing, su2_basis
+from loopforms.liecore import killing
+
+from helpers import su2_basis, zero_form
 
 RNG = np.random.default_rng(57)
 N = 64
@@ -222,7 +224,7 @@ class TestEpsilon:
     def test_zero_connection_vanishes(self):
         zero = np.zeros((N, 2, 2), dtype=complex)
         c = cn.LGConnectionData(
-            fc.zero_form(2, 1, zero), lambda p: zero, 2, N, 2
+            zero_form(2, 1, zero), lambda p: zero, 2, N, 2
         )
         tau = sampling.random_gauge_loop(RNG, 2, N, 2)
         val = ce.epsilon_form(c, tau, np.zeros(2), np.array([0.3, -1.0]))
@@ -317,7 +319,7 @@ class TestCurvings:
 class TestDescent:
     def test_lg_flat_zero(self):
         zero = np.zeros((N, 2, 2), dtype=complex)
-        c = cn.LGConnectionData(fc.zero_form(3, 1, zero), lambda p: zero, 3, N, 2)
+        c = cn.LGConnectionData(zero_form(3, 1, zero), lambda p: zero, 3, N, 2)
         assert ce.three_curvature_descent_check(c, [np.zeros(3)]) < 1e-12
 
     def test_lg_random(self):

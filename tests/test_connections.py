@@ -5,7 +5,9 @@ from loopforms import connections as cn
 from loopforms import formscalc as fc
 from loopforms import loopspace as lp
 from loopforms import sampling
-from loopforms.liecore import InvariantPolynomial, su2_basis
+from loopforms.liecore import InvariantPolynomial
+
+from helpers import su2_basis, zero_form
 
 RNG = np.random.default_rng(23)
 N = 32
@@ -14,13 +16,13 @@ X1, X2, X3 = su2_basis()
 
 def zero_connection(dim, n=2):
     zero_loop = np.zeros((N, n, n), dtype=complex)
-    A = fc.zero_form(dim, 1, zero_loop)
+    A = zero_form(dim, 1, zero_loop)
     return cn.LGConnectionData(A, lambda p: zero_loop, dim, N, n)
 
 
 def const_phi_connection(dim, phi_const, n=2):
     zero_loop = np.zeros((N, n, n), dtype=complex)
-    A = fc.zero_form(dim, 1, zero_loop)
+    A = zero_form(dim, 1, zero_loop)
     return cn.LGConnectionData(
         A, lambda p: np.broadcast_to(phi_const, (N, n, n)).copy(), dim, N, n
     )
@@ -72,7 +74,7 @@ class TestCovariantHiggsLG:
         dim = 2
         c0 = sampling.random_lg_connection(RNG, dim, N, 2)
         zero_loop = np.zeros((N, 2, 2), dtype=complex)
-        c = cn.LGConnectionData(fc.zero_form(dim, 1, zero_loop), c0.phi, dim, N, 2)
+        c = cn.LGConnectionData(zero_form(dim, 1, zero_loop), c0.phi, dim, N, 2)
         nabla = cn.covariant_higgs_lg(c)
         p = 0.3 * RNG.standard_normal(dim)
         h = c.fd_step
@@ -267,7 +269,7 @@ class TestLGxS1:
 
     def test_string_form_flat_zero(self):
         ext = cn.LGxS1ConnectionData(
-            fc.zero_form(3, 1, np.zeros((N, 2, 2), dtype=complex)),
+            zero_form(3, 1, np.zeros((N, 2, 2), dtype=complex)),
             fc.FormField(1, 3, lambda p, idx: 0.0),
             lambda p: np.zeros((N, 2, 2), dtype=complex),
             3, N, 2,
@@ -374,3 +376,79 @@ class TestGaugeTransformBasics:
         ginv = lp.loop_inverse(gloop)
         want = ginv @ c.phi(p) @ gloop + ginv @ lp.loop_derivative(gloop)
         assert np.max(np.abs(ct.phi(p) - want)) < 1e-12
+
+
+class TestChartMaps:
+    """Phi and sigma are memoized 0-forms: each stencil point is computed once."""
+
+    @staticmethod
+    def counted_phi(rng, dim):
+        phi = sampling.random_higgs_field(rng, dim, N, 2)
+        calls = []
+
+        def raw(p):
+            calls.append(np.asarray(p).tobytes())
+            return np.array(phi(p))
+
+        return raw, calls
+
+    def test_higgs_runs_once_per_stencil_point(self):
+        rng = np.random.default_rng(31)
+        dim = 3
+        raw, calls = self.counted_phi(rng, dim)
+        c = cn.LGConnectionData(sampling.random_loop_one_form(rng, dim, N, 2), raw, dim, N, 2)
+        nabla = cn.covariant_higgs_lg(c)
+        p = 0.3 * rng.standard_normal(dim)
+        for i in range(dim):
+            nabla.coeff(p, (i,))
+        assert len(calls) == len(set(calls)) == 2 * dim + 1
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_gauge_transform_exp_loops(self, monkeypatch, twisted):
+        rng = np.random.default_rng(37)
+        dim = 3
+        if twisted:
+            c = sampling.random_lgxs1_connection(rng, dim, N, 2)
+            sigma = sampling.random_semidirect_gauge(rng, dim, N, 2)
+        else:
+            c = sampling.random_lg_connection(rng, dim, N, 2)
+            sigma = sampling.random_gauge_loop(rng, dim, N, 2)
+        count = [0]
+        exp_loop = lp.exp_loop
+
+        def counted(xi):
+            count[0] += 1
+            return exp_loop(xi)
+
+        monkeypatch.setattr(lp, "exp_loop", counted)
+        ct = cn.gauge_transform(c, sigma)
+        p = 0.3 * rng.standard_normal(dim)
+        for i in range(dim):
+            ct.A.coeff(p, (i,))
+            if twisted:
+                ct.a.coeff(p, (i,))
+        ct.phi(p)
+        assert count[0] == 2 * dim + 1
+
+    def test_plain_callable_phi_gives_same_values(self):
+        rng = np.random.default_rng(41)
+        dim = 3
+        A = sampling.random_loop_one_form(rng, dim, N, 2)
+        a = sampling.random_real_one_form(rng, dim)
+        form = sampling.random_higgs_field(rng, dim, N, 2)
+
+        def plain(p):
+            return np.array(form(p))
+
+        p = 0.3 * rng.standard_normal(dim)
+        for build, string in (
+            (lambda phi: cn.LGConnectionData(A, phi, dim, N, 2), cn.string_form_lg),
+            (lambda phi: cn.LGxS1ConnectionData(A, a, phi, dim, N, 2), cn.string_form_lgxs1),
+        ):
+            c_plain, c_form = build(plain), build(form)
+            assert isinstance(c_plain.phi, fc.FormField) and c_plain.phi.degree == 0
+            assert c_form.phi is form
+            np.testing.assert_array_equal(c_plain.phi(p), form(p))
+            np.testing.assert_array_equal(
+                string(c_plain).coeff(p, (0, 1, 2)), string(c_form).coeff(p, (0, 1, 2))
+            )

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopforms import formscalc as fc
+from loopforms import loopspace as lp
 from loopforms import sampling
-from loopforms.liecore import exponential, su2_basis
+from loopforms.liecore import exponential
 from loopforms.loopspace import grid
+
+from helpers import su2_basis, zero_form
 
 RNG = np.random.default_rng(11)
 X1, X2, X3 = su2_basis()
@@ -104,6 +107,23 @@ class TestExteriorDerivative:
         # evaluate of a 0-form takes zero vectors
         assert fc.evaluate(f0, p, []) == poly(p)
 
+    def test_semidirect_gauge_map(self):
+        # d of an LG x| S1-valued 0-form is the central difference of its
+        # group values, bit for bit, in loop part and angle rate
+        rng = np.random.default_rng(5)
+        dim, h = 3, 1e-4
+        sigma = sampling.random_semidirect_gauge(rng, dim, 16, 2)
+        dsigma = fc.exterior_derivative(sigma, h)
+        p = 0.4 * rng.standard_normal(dim)
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = h
+            want = lp.central(sigma(p + e), sigma(p - e), h)
+            got = dsigma.coeff(p, (i,))
+            assert isinstance(got, lp.SemiDirectAlgebraElement)
+            np.testing.assert_array_equal(got.loop_part, want.loop_part)
+            assert got.circle_part == want.circle_part
+
 
 class TestWedge:
     def test_bracket_square_collinear(self):
@@ -169,7 +189,7 @@ class TestWedge:
     def test_pair_zero(self):
         dim = 2
         A = sampling.random_loop_one_form(RNG, dim, 8, 2)
-        Z = fc.zero_form(dim, 1, np.zeros((8, 2, 2), dtype=complex))
+        Z = zero_form(dim, 1, np.zeros((8, 2, 2), dtype=complex))
         pairform = fc.wedge_pair(A, Z)
         assert fc.max_coeff(pairform, [np.zeros(dim)]) == 0.0
 
@@ -259,7 +279,7 @@ class TestCylinder:
         dim = 2
         N = 16
         poly = sampling.random_poly(RNG, dim)
-        beta = fc.zero_form(dim, 1, np.zeros(N))
+        beta = zero_form(dim, 1, np.zeros(N))
         gamma = fc.FormField(0, dim, lambda p, idx: np.full(N, poly(p)))
         out = fc.fiber_integrate_s1(fc.CylinderForm(beta, gamma))
         p = RNG.standard_normal(dim)
@@ -268,7 +288,7 @@ class TestCylinder:
     def test_pure_oscillation_integrates_to_zero(self):
         dim = 2
         N = 16
-        beta = fc.zero_form(dim, 2, np.zeros(N))
+        beta = zero_form(dim, 2, np.zeros(N))
         gamma = fc.FormField(
             1, dim, lambda p, idx: np.sin(grid(N)) if idx == (0,) else np.zeros(N)
         )
@@ -282,7 +302,7 @@ class TestCylinder:
             (0, 1): sampling.random_poly(RNG, dim),
         }
         beta = fc.FormField(2, dim, lambda p, idx: np.full(N, polys[tuple(idx)](p)))
-        gamma = fc.zero_form(dim, 1, np.zeros(N))
+        gamma = zero_form(dim, 1, np.zeros(N))
         out = fc.fiber_integrate_s1(fc.CylinderForm(beta, gamma))
         assert fc.max_coeff(out, [RNG.standard_normal(dim)]) == 0.0
 
@@ -387,3 +407,41 @@ class TestMemo:
             return 0.0
 
         assert fc.FormField(1, 2, f).coeff.__module__ == f.__module__
+
+    def test_zero_form_keeps_a_stencil_of_points(self):
+        raw, calls = self.counted(lambda p, idx: np.full(2, p[0]))
+        phi = fc.FormField(0, 1, raw)
+        pts = [np.array([float(k)]) for k in range(fc.STENCIL_POINTS)]
+        for _ in range(2):
+            for p in pts:
+                np.testing.assert_array_equal(phi(p), [p[0], p[0]])
+        assert len(calls) == fc.STENCIL_POINTS
+
+    def test_zero_form_memo_is_bounded(self):
+        raw, calls = self.counted(lambda p, idx: float(p[0]))
+        phi = fc.FormField(0, 1, raw)
+        for k in range(fc.STENCIL_POINTS + 1):
+            phi(np.array([float(k)]))
+        phi(np.array([float(fc.STENCIL_POINTS)]))  # the newest is still kept
+        assert len(calls) == fc.STENCIL_POINTS + 1
+        phi(np.array([0.0]))  # the earliest was dropped
+        assert len(calls) == fc.STENCIL_POINTS + 2
+
+    def test_zero_form_value_is_read_only(self):
+        phi = fc.FormField(0, 2, lambda p, idx: np.ones((4, 2, 2)))
+        val = phi(np.zeros(2))
+        with pytest.raises(ValueError):
+            val += 1.0
+        np.testing.assert_array_equal(phi(np.zeros(2)), np.ones((4, 2, 2)))
+
+    def test_only_a_zero_form_takes_a_point(self):
+        with pytest.raises(fc.DegreeError):
+            fc.FormField(1, 2, lambda p, idx: 0.0)(np.zeros(2))
+
+    def test_chart_function(self):
+        phi = fc.chart_function(lambda p: 2.0 * p[0], 2)
+        assert (phi.degree, phi.dim) == (0, 2)
+        assert phi(np.array([1.5, 0.0])) == 3.0
+        assert fc.chart_function(phi, 2) is phi
+        with pytest.raises(fc.DegreeError):
+            fc.chart_function(phi, 3)

