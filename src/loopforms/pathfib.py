@@ -240,38 +240,51 @@ def pf_higher_string_vs_transgression(
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 
 
-def higgs_holonomy(xi: np.ndarray, refine: int = 8) -> tuple[np.ndarray, np.ndarray]:
+# Magnus steps per grid sample.  A power of two: each block of steps is
+# multiplied as a balanced binary tree.
+MAGNUS_REFINE = 8
+
+
+def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve g' = g xi with g(0) = 1; returns (grid samples, endpoint).
 
-    Fourth-order Magnus steps on M = refine * N steps of size h: with xi
-    at the two Gauss nodes (1/2 -+ sqrt(3)/6) h of each step, spectrally
-    interpolated and so exact for band-limited input,
+    Fourth-order Magnus steps on M = MAGNUS_REFINE * N steps of size h:
+    with xi at the two Gauss nodes (1/2 -+ sqrt(3)/6) h of each step,
+    spectrally interpolated and so exact for band-limited input,
     Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A1, A2] and
     g(t + h) = g(t) exp(Omega).  The M exponentials are taken in one
-    batch and multiplied by a Hillis-Steele inclusive prefix product
-    (log2 M batched matmuls); every refine-th product is a sample.  The
-    samples and the endpoint are polar-projected once, so they are
-    unitary to round-off (``loop_inverse`` is the adjoint).  Global error
-    O(h^4) plus the round-off of the M-step product.
+    batch and multiplied by a blocked scan (Blelloch 1990): the
+    MAGNUS_REFINE steps of each sample's block as a balanced tree,
+    ((e0 e1)(e2 e3))((e4 e5)(e6 e7)), batched over the N blocks, then a
+    Hillis-Steele inclusive prefix product of the N block totals: 7N +
+    sum_r (N - 2^r) matmuls instead of sum_r (M - 2^r) for a scan over
+    all M steps, whose values at the sample steps are the same products
+    in the same order, bit for bit.  The samples and the endpoint are
+    polar-projected once, so they are unitary to round-off
+    (``loop_inverse`` is the adjoint).  Global error O(h^4) plus the
+    round-off of the M-step product.
     """
     N = xi.shape[0]
-    M = refine * N
+    M = MAGNUS_REFINE * N
     h = 2.0 * pi / M
     a1 = _spectral_upsample(xi, M, (0.5 - sqrt(3.0) / 6.0) * h)
     a2 = _spectral_upsample(xi, M, (0.5 + sqrt(3.0) / 6.0) * h)
     omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * (a1 @ a2 - a2 @ a1)
-    prefix = lp.exp_loop(omega)
+    block = lp.exp_loop(omega).reshape((N, MAGNUS_REFINE) + xi.shape[1:])
+    while block.shape[1] > 1:  # pairwise products inside each block
+        block = block[:, 0::2] @ block[:, 1::2]
+    prefix = block[:, 0]
     shift = 1
-    while shift < M:  # prefix[m] = exp(Omega_0) ... exp(Omega_m)
+    while shift < N:  # prefix[j] = block_0 ... block_j
         prefix = np.concatenate((prefix[:shift], prefix[:-shift] @ prefix[shift:]))
         shift *= 2
     eye = np.eye(xi.shape[1], dtype=complex)[None]
-    g = lp.project_unitary(np.concatenate((eye, prefix[refine - 1 :: refine])))
+    g = lp.project_unitary(np.concatenate((eye, prefix)))
     return g[:N], g[N]
 
 
-def holonomy_path(xi: np.ndarray, refine: int = 8) -> PathPoint:
-    samples, endpoint = higgs_holonomy(xi, refine)
+def holonomy_path(xi: np.ndarray) -> PathPoint:
+    samples, endpoint = higgs_holonomy(xi)
     return PathPoint(samples, endpoint)
 
 

@@ -72,9 +72,9 @@ class RunConfig:
         """Bytes of the largest batch of (n, n) complex loop values: the caloron
         curvature holds D^2 chart partials (D = 3 base + theta + su(n)
         directions) on the suite grid, the path-fibration holonomy takes
-        8 * max(4 pathfib_samples, 1024) Magnus steps."""
+        MAGNUS_REFINE * max(4 pathfib_samples, 1024) Magnus steps."""
         chart = (self.n ** 2 + 3) ** 2 * self.samples
-        holonomy = 8 * max(4 * self.pathfib_samples, 1024)
+        holonomy = pathfib.MAGNUS_REFINE * max(4 * self.pathfib_samples, 1024)
         return 16 * self.n ** 2 * max(chart, holonomy)
 
 

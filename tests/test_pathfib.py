@@ -188,11 +188,40 @@ class TestHolonomy:
         theta = lp.grid(n_samples)
         xi = np.stack([exponential(-t * B) @ A @ exponential(t * B) + B for t in theta])
         g, endpoint = pf.higgs_holonomy(xi)
-        M = 8 * n_samples
+        M = pf.MAGNUS_REFINE * n_samples
         tol = (2 * np.pi / M) ** 4 + M * np.finfo(float).eps
         want = np.stack([exponential(t * A) @ exponential(t * B) for t in theta])
         assert np.max(np.abs(g - want)) < tol
         assert np.max(np.abs(endpoint - exponential(2 * np.pi * A))) < tol
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n_samples", [4, 6, 10, 64, 512])
+    def test_blocked_scan_matches_full_scan_bitwise(self, monkeypatch, n, n_samples):
+        # A Hillis-Steele scan over all M steps holds, at each sample step
+        # 8j+7, the block tree ((e0 e1)(e2 e3))((e4 e5)(e6 e7)) after a
+        # scan over the aligned blocks: the same products in the same
+        # order, so the blocked scan must agree in every bit, also when N
+        # is not a power of two.
+        steps = []
+
+        def recording_exp_loop(x, _exp_loop=lp.exp_loop):
+            steps.append(_exp_loop(x))
+            return steps[-1]
+
+        monkeypatch.setattr(lp, "exp_loop", recording_exp_loop)
+        rng = np.random.default_rng(n_samples)
+        xi = sampling.bandlimited_algebra_loop(rng, n_samples, n, kmax=min(3, (n_samples - 1) // 2))
+        g, endpoint = pf.higgs_holonomy(xi)
+        (prefix,) = steps
+        shift = 1
+        while shift < len(prefix):
+            prefix = np.concatenate((prefix[:shift], prefix[:-shift] @ prefix[shift:]))
+            shift *= 2
+        r = pf.MAGNUS_REFINE
+        eye = np.eye(n, dtype=complex)[None]
+        want = lp.project_unitary(np.concatenate((eye, prefix[r - 1 :: r])))
+        assert np.array_equal(g, want[:n_samples])
+        assert np.array_equal(endpoint, want[n_samples])
 
 
 class TestSpectralUpsample:
