@@ -10,7 +10,7 @@ derivatives use central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,30 +21,26 @@ from . import loopspace as lp
 from .connections import (
     LGConnectionData,
     LGxS1ConnectionData,
-    covariant_higgs_lg,
-    covariant_higgs_lgxs1,
-    curvature_lg,
-    curvature_lgxs1,
-    string_cylinder_lg,
-    string_cylinder_lgxs1,
+    covariant_higgs,
+    curvature,
+    string_cylinder,
 )
 from .liecore import pontrjagyn_polynomial, eval_invariant_polynomial, sun_basis
 
 
 @dataclass(frozen=True)
 class ExtendedChart:
-    """Base chart + periodic theta + exponential group coordinates at g0."""
+    """Base chart + periodic theta + exponential group coordinates at g0,
+    taken in the basis ``sun_basis(n)``."""
 
     base_dim: int
     N: int
     n: int
     g0: np.ndarray | None = None
     fd_step: float = 1e-4
-    basis: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.basis:
-            object.__setattr__(self, "basis", sun_basis(self.n))
+        object.__setattr__(self, "basis", sun_basis(self.n))
         if self.g0 is None:
             object.__setattr__(self, "g0", np.eye(self.n, dtype=complex))
 
@@ -130,12 +126,11 @@ def to_g_connection(
     return GConnectionField(chart, coeffs)
 
 
-def from_g_connection(field: GConnectionField, N: int | None = None) -> LGConnectionData:
+def from_g_connection(field: GConnectionField) -> LGConnectionData:
     """Read (A, Phi) back off the canonical section (theta slot and base slots
     at the group point where g = identity)."""
     chart = field.chart
     u_star = chart.identity_coordinates()
-    N = N or chart.N
 
     def A_coeff(x, idx):
         (i,) = idx
@@ -148,7 +143,7 @@ def from_g_connection(field: GConnectionField, N: int | None = None) -> LGConnec
         A=fc.FormField(1, chart.base_dim, A_coeff),
         phi=phi,
         dim=chart.base_dim,
-        N=N,
+        N=chart.N,
         n=chart.n,
         fd_step=chart.fd_step,
     )
@@ -204,8 +199,8 @@ def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedC
     """
     g = chart.group_point(u)
     twisted = isinstance(c, LGxS1ConnectionData)
-    pair = curvature_lgxs1(c) if twisted else curvature_lg(c)
-    nabla = covariant_higgs_lgxs1(c) if twisted else covariant_higgs_lg(c)
+    pair = curvature(c)
+    nabla = covariant_higgs(c)
     ti = chart.theta_index
     out = {}
     for i in range(c.dim):
@@ -259,9 +254,6 @@ def pontrjagyn_fiber_integral(c: LGConnectionData | LGxS1ConnectionData) -> fc.F
     if c.dim < 3:
         raise ValueError("need chart dimension >= 3")
     f = pontrjagyn_polynomial()
-    if isinstance(c, LGxS1ConnectionData):
-        cyl = string_cylinder_lgxs1(c)
-    else:
-        cyl = string_cylinder_lg(c)
+    cyl = string_cylinder(c)
     p1 = fc.cyl_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))
     return fc.fiber_integrate_s1(p1)

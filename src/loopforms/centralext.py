@@ -22,11 +22,10 @@ from . import formscalc as fc
 from . import loopspace as lp
 from .connections import (
     LGxS1ConnectionData,
-    curvature_lg,
-    curvature_lgxs1,
+    curvature,
     gauge_transform,
-    string_form_lg,
-    string_form_lgxs1,
+    partial_theta,
+    string_form,
 )
 
 FD_STEP = 1e-4
@@ -62,28 +61,18 @@ def r_form(point, X, Y) -> float:
     return float(lp.circle_integral(sym)) / (4.0 * pi)
 
 
-def alpha_form_lg(point, tangents) -> float:
-    """alpha = (1/2 pi) Int <xi_1, Z(gamma_2)> dtheta (i stripped)."""
-    gamma2 = point[1]
-    xi1 = tangents[0]
-    if xi1.shape != gamma2.shape:
-        raise ValueError("probe grids differ")
-    return _pair_integral(xi1, lp.z_map(gamma2))
-
-
-def alpha_form_lgxs1(point, tangents) -> float:
-    """alpha with the -(1/2) mu Z correction of the rotated extension."""
+def alpha_form(point, tangents) -> float:
+    """alpha = (1/2 pi) Int <xi_1, Z(gamma_2)> dtheta (i stripped); on
+    LG x| S1 points with the -(1/2) mu Z correction of the rotated extension."""
     g2 = point[1]
     t1 = tangents[0]
-    z2 = lp.z_map(g2.loop_part)
-    probe = t1.loop_part - 0.5 * t1.circle_part * z2
-    return _pair_integral(probe, z2)
-
-
-def alpha_form(point, tangents) -> float:
-    if _is_semidirect(point[1]):
-        return alpha_form_lgxs1(point, tangents)
-    return alpha_form_lg(point, tangents)
+    if _is_semidirect(g2):
+        z2 = lp.z_map(g2.loop_part)
+        probe = t1.loop_part - 0.5 * t1.circle_part * z2
+        return _pair_integral(probe, z2)
+    if t1.shape != g2.shape:
+        raise ValueError("probe grids differ")
+    return _pair_integral(t1, lp.z_map(g2))
 
 
 # -- group curves and derivatives -------------------------------------------
@@ -159,40 +148,21 @@ def _push_tangents(reach, points, base, flows, h: float):
     return tuple(pushed)
 
 
-def simplicial_delta_eval(form: Callable, points, tangents, h: float = FD_STEP) -> float:
+def simplicial_delta_eval(form: Callable, points, *tangent_sets, h: float = FD_STEP) -> float:
     """(delta form) at a point of G^{m+1} on left-translated tangents.
 
-    ``form`` takes (points, tangents) on G^m.  Tangents are pushed through
-    each nerve face map by central differences along exponential curves;
-    each slot is flowed once per sign and shared by every face.
+    ``form`` takes (points, tangents, ...) on G^m, one tuple of slot
+    tangents per form argument: one set for a 1-form, two for a 2-form.
+    Tangents are pushed through each nerve face map by central differences
+    along exponential curves; each slot is flowed once per sign and tangent
+    set and shared by every face.
     """
-    flows = _slot_flows(points, tangents, h)
+    flows = [_slot_flows(points, tangents, h) for tangents in tangent_sets]
     total = 0.0
     for i, reach in enumerate(nerve_faces(len(points))):
         base = face_map(reach, points)
-        total += (-1.0) ** i * form(base, _push_tangents(reach, points, base, flows, h))
-    return total
-
-
-def delta_of(form: Callable, h: float = FD_STEP) -> Callable:
-    """delta as an operator on multi-point form evaluators."""
-
-    def ev(points, tangents):
-        return simplicial_delta_eval(form, points, tangents, h)
-
-    return ev
-
-
-def delta_two_form(form2: Callable, points, tans_x, tans_y, h: float = FD_STEP) -> float:
-    """delta of a 2-form evaluator, pushing both tangent sets through faces."""
-    flows_x = _slot_flows(points, tans_x, h)
-    flows_y = _slot_flows(points, tans_y, h)
-    total = 0.0
-    for i, reach in enumerate(nerve_faces(len(points))):
-        base = face_map(reach, points)
-        push_x = _push_tangents(reach, points, base, flows_x, h)
-        push_y = _push_tangents(reach, points, base, flows_y, h)
-        total += (-1.0) ** i * form2(base, push_x, push_y)
+        pushed = [_push_tangents(reach, points, base, f, h) for f in flows]
+        total += (-1.0) ** i * form(base, *pushed)
     return total
 
 
@@ -225,13 +195,13 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
 def d_alpha_vs_delta_r(points, tans_x, tans_y, h: float = FD_STEP) -> float:
     """|d alpha - delta R| at a pair point on a tangent pair."""
     lhs = d_alpha(points, tans_x, tans_y, h)
-    rhs = delta_two_form(_r_eval, points, tans_x, tans_y, h)
+    rhs = simplicial_delta_eval(_r_eval, points, tans_x, tans_y, h=h)
     return abs(lhs - rhs)
 
 
 def verify_delta_alpha_zero(points, tangents, h: float = FD_STEP) -> float:
     """|delta alpha| at a triple point; vanishes for both groups."""
-    return abs(simplicial_delta_eval(alpha_form, points, tangents, h))
+    return abs(simplicial_delta_eval(alpha_form, points, tangents, h=h))
 
 
 # -- the lifting-gerbe connection correction epsilon -------------------------
@@ -243,26 +213,14 @@ def epsilon_form(c, tau: Callable, point: np.ndarray, X: np.ndarray) -> float:
     sections); X is a single chart tangent, which moves both sections.
     """
     X = np.asarray(X, dtype=float)
-    AX = _contract_one_form(c.A, point, X)
+    AX = fc.evaluate(c.A, point, [X])
     if isinstance(c, LGxS1ConnectionData):
         s = tau(point)
         z = lp.z_map(s.loop_part)
-        aX = _contract_one_form(c.a, point, X)
+        aX = fc.evaluate(c.a, point, [X])
         return _pair_integral(AX - 0.5 * aX * z, z)
     z = lp.z_map(tau(point))
     return _pair_integral(AX, z)
-
-
-def _contract_one_form(form: fc.FormField, p: np.ndarray, X: np.ndarray):
-    total = None
-    for i in range(form.dim):
-        if X[i] == 0.0:
-            continue
-        term = X[i] * np.asarray(form.coeff(p, (i,)))
-        total = term if total is None else total + term
-    if total is None:
-        total = 0.0 * np.asarray(form.coeff(p, (0,)))
-    return total
 
 
 def delta_epsilon_vs_tau_alpha(
@@ -301,11 +259,9 @@ def curving_direct(c) -> fc.FormField:
     """B = (1/2 pi) Int (1/2)<A, dA/dtheta> - <F, Phi> dtheta for plain loop
     data; with the rotation twist, (1/4 pi) Int <A, dA/dtheta>
     - 2 <F + (1/2) f Phi, Phi> dtheta.  Real 2-form, i stripped."""
-    from .connections import partial_theta
-
     AdA = fc.wedge_pair(c.A, partial_theta(c.A))
     twisted = isinstance(c, LGxS1ConnectionData)
-    pair = curvature_lgxs1(c) if twisted else curvature_lg(c)
+    pair = curvature(c)
 
     def coeff(p, idx):
         phi = c.phi(p)
@@ -352,7 +308,7 @@ def reduced_splitting_transformation_residual(
 
 def splitting_curving(c: LGxS1ConnectionData) -> fc.FormField:
     """B = (1/2) omega(A, A) + ell(p, F) from the reduced splitting."""
-    pair = curvature_lgxs1(c)
+    pair = curvature(c)
 
     def coeff(p, idx):
         i, j = idx
@@ -378,7 +334,7 @@ def three_curvature_descent_check(c, points, sigma: Callable | None = None) -> f
     with the connection's step ``c.fd_step``."""
     B = curving_direct(c)
     dB = fc.exterior_derivative(B, c.fd_step)
-    s = string_form_lgxs1(c) if isinstance(c, LGxS1ConnectionData) else string_form_lg(c)
+    s = string_form(c)
     diff = fc.form_sum([dB, s], [1.0, -BRIDGE_TO_STRING_FORM])
     worst = fc.max_coeff(diff, points)
     if sigma is not None:

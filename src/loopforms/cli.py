@@ -10,12 +10,12 @@ override file values, and LOOPFORMS_SEED overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .report import (
-    DEFAULT_SEED,
     ConfigError,
     RunConfig,
     SUITES,
@@ -64,44 +64,31 @@ def _config_from_args(args) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             fields[key] = val
-    fields.setdefault("suite", "all")
-    fields.setdefault("seed", DEFAULT_SEED)
-    allowed = {
-        "n",
-        "samples",
-        "pathfib_samples",
-        "fd_step",
-        "seed",
-        "suite",
-        "tolerance_overrides",
-    }
-    unknown = set(fields) - allowed
+    unknown = set(fields) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return RunConfig(**fields)
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the ``--out`` file if one is given, else to stdout."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            config = _config_from_args(args)
-            config.validate()
-            report = run_suite(config)
-            text = emit_report(report, args.format)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            # run_suite validates the config before any check runs
+            report = run_suite(_config_from_args(args))
+            _write(emit_report(report, args.format), args.out)
             return 0 if report.all_passed else 1
         if args.command == "table":
-            text = coefficient_table(args.kmax)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write(coefficient_table(args.kmax), args.out)
             return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -74,62 +74,30 @@ def _bracket_A_phi(c) -> fc.FormField:
     return fc.FormField(1, c.dim, coeff)
 
 
-def curvature_lg(c: LGConnectionData) -> CurvaturePair:
-    """F = dA + (1/2)[A, A]."""
+def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
+    """F = dA + (1/2)[A, A]; for LG x| S1 data
+    (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da)."""
     dA = fc.exterior_derivative(c.A, c.fd_step)
     half_bracket = fc.scale_form(0.5, fc.wedge_bracket(c.A, c.A))
-    return CurvaturePair(F=fc.form_sum([dA, half_bracket]))
-
-
-def covariant_higgs_lg(c: LGConnectionData) -> fc.FormField:
-    """nabla Phi = dPhi + [A, Phi] - dA/dtheta."""
-    return fc.form_sum(
-        [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A)],
-        [1.0, 1.0, -1.0],
-    )
-
-
-def string_form_lg(c: LGConnectionData) -> fc.FormField:
-    """-(1/4 pi^2) Int <F, nabla Phi> dtheta, a real 3-form on the chart."""
-    F = curvature_lg(c).F
-    integrand = fc.wedge_pair(F, covariant_higgs_lg(c))
-    return fc.scale_form(-1.0 / (4.0 * pi ** 2), fc.integrate_loop_form(integrand))
-
-
-def higher_string_form(
-    f: InvariantPolynomial, k: int, c: LGConnectionData
-) -> fc.FormField:
-    """String form of degree 2k-1: k Int f(nabla Phi, F, ..., F) dtheta."""
-    if f.degree != k:
-        raise ValueError(f"polynomial degree {f.degree} != k = {k}")
-    if c.dim < 2 * k - 1:
-        raise ValueError(f"chart dimension {c.dim} < 2k-1 = {2 * k - 1}")
-    F = curvature_lg(c).F
-    slots = [covariant_higgs_lg(c)] + [F] * (k - 1)
-    integrand = fc.poly_wedge(slots, lambda vals: eval_invariant_polynomial(f, vals))
-    return fc.scale_form(float(k), fc.integrate_loop_form(integrand))
-
-
-def curvature_lgxs1(c: LGxS1ConnectionData) -> CurvaturePair:
-    """(F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da)."""
-    dA = fc.exterior_derivative(c.A, c.fd_step)
-    half_bracket = fc.scale_form(0.5, fc.wedge_bracket(c.A, c.A))
+    if not isinstance(c, LGxS1ConnectionData):
+        return CurvaturePair(F=fc.form_sum([dA, half_bracket]))
     twist = fc.wedge_scalar(c.a, partial_theta(c.A))
     F = fc.form_sum([dA, half_bracket, twist], [1.0, 1.0, -1.0])
     return CurvaturePair(F=F, f=fc.exterior_derivative(c.a, c.fd_step))
 
 
-def covariant_higgs_lgxs1(c: LGxS1ConnectionData) -> fc.FormField:
-    """nabla Phi = dPhi + [A, Phi] - dA/dtheta - a dPhi/dtheta."""
+def covariant_higgs(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
+    """nabla Phi = dPhi + [A, Phi] - dA/dtheta; for LG x| S1 data also
+    - a dPhi/dtheta."""
+    terms = [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A)]
+    if not isinstance(c, LGxS1ConnectionData):
+        return fc.form_sum(terms, [1.0, 1.0, -1.0])
 
     def twist_coeff(p, idx):
         return fc._scalar_times(c.a.coeff(p, idx), lp.loop_derivative(c.phi(p)))
 
     twist = fc.FormField(1, c.dim, twist_coeff)
-    return fc.form_sum(
-        [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A), twist],
-        [1.0, 1.0, -1.0, -1.0],
-    )
+    return fc.form_sum(terms + [twist], [1.0, 1.0, -1.0, -1.0])
 
 
 def _f_phi_form(c: LGxS1ConnectionData, f2: fc.FormField) -> fc.FormField:
@@ -141,23 +109,38 @@ def _f_phi_form(c: LGxS1ConnectionData, f2: fc.FormField) -> fc.FormField:
     return fc.FormField(2, c.dim, coeff)
 
 
-def string_form_lgxs1(c: LGxS1ConnectionData) -> fc.FormField:
-    """-(1/4 pi^2) Int <F + f Phi, nabla Phi> dtheta."""
-    pair = curvature_lgxs1(c)
-    lifted = fc.form_sum([pair.F, _f_phi_form(c, pair.f)])
-    integrand = fc.wedge_pair(lifted, covariant_higgs_lgxs1(c))
+def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
+    """-(1/4 pi^2) Int <F, nabla Phi> dtheta, a real 3-form on the chart;
+    for LG x| S1 data F + f Phi takes the place of F."""
+    pair = curvature(c)
+    lifted = pair.F
+    if isinstance(c, LGxS1ConnectionData):
+        lifted = fc.form_sum([pair.F, _f_phi_form(c, pair.f)])
+    integrand = fc.wedge_pair(lifted, covariant_higgs(c))
     return fc.scale_form(-1.0 / (4.0 * pi ** 2), fc.integrate_loop_form(integrand))
 
 
-def string_cylinder_lg(c: LGConnectionData) -> fc.CylinderForm:
-    """Curvature on chart x S1: F + nabla Phi ^ dtheta."""
-    return fc.CylinderForm(beta=curvature_lg(c).F, gamma=covariant_higgs_lg(c))
+def higher_string_form(
+    f: InvariantPolynomial, k: int, c: LGConnectionData
+) -> fc.FormField:
+    """String form of degree 2k-1: k Int f(nabla Phi, F, ..., F) dtheta."""
+    if f.degree != k:
+        raise ValueError(f"polynomial degree {f.degree} != k = {k}")
+    if c.dim < 2 * k - 1:
+        raise ValueError(f"chart dimension {c.dim} < 2k-1 = {2 * k - 1}")
+    F = curvature(c).F
+    slots = [covariant_higgs(c)] + [F] * (k - 1)
+    integrand = fc.poly_wedge(slots, lambda vals: eval_invariant_polynomial(f, vals))
+    return fc.scale_form(float(k), fc.integrate_loop_form(integrand))
 
 
-def string_cylinder_lgxs1(c: LGxS1ConnectionData) -> fc.CylinderForm:
-    """Transported curvature (F + f Phi) + nabla Phi ^ (a + dtheta)."""
-    pair = curvature_lgxs1(c)
-    nabla = covariant_higgs_lgxs1(c)
+def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderForm:
+    """Curvature on chart x S1: F + nabla Phi ^ dtheta; for LG x| S1 data
+    the transported curvature (F + f Phi) + nabla Phi ^ (a + dtheta)."""
+    pair = curvature(c)
+    nabla = covariant_higgs(c)
+    if not isinstance(c, LGxS1ConnectionData):
+        return fc.CylinderForm(beta=pair.F, gamma=nabla)
     beta = fc.form_sum([pair.F, _f_phi_form(c, pair.f), fc.poly_wedge(
         [nabla, c.a], lambda v: fc._scalar_times(v[1], v[0])
     )])
@@ -169,16 +152,15 @@ def independence_homotopy_form(
     k: int,
     c0: LGConnectionData,
     c1: LGConnectionData,
-    t_steps: int = 16,
 ) -> fc.FormField:
     """Primitive psi with d psi = s(c1) - s(c0).
 
     Built on the circle-extended chart from the difference 1-form
     alpha + (Phi_1 - Phi_0) dtheta and the interpolated curvatures,
-    integrated in t by Simpson's rule, then fiber-integrated back.
+    integrated in t by Simpson's rule on 16 steps, then fiber-integrated
+    back.
     """
-    if t_steps < 8 or t_steps % 2 != 0:
-        raise ValueError("t_steps must be an even integer >= 8")
+    t_steps = 16
     if (c0.dim, c0.N, c0.n) != (c1.dim, c1.N, c1.n):
         raise ValueError("connection data live on different discretizations")
     if f.degree != k:
@@ -198,7 +180,7 @@ def independence_homotopy_form(
         At = fc.form_sum([c0.A, alpha], [1.0, float(t)])
         phit = fc.FormField(0, c0.dim, lambda p, idx, t=t: c0.phi(p) + t * varphi(p))
         ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
-        cyl_t = string_cylinder_lg(ct)
+        cyl_t = string_cylinder(ct)
         integrand = fc.cyl_poly_wedge(
             [diff_cyl] + [cyl_t] * (k - 1),
             lambda vals: eval_invariant_polynomial(f, vals),

@@ -142,6 +142,21 @@ def _split_patterns(total: int, sizes: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
+def _shuffle_sum(degrees: tuple[int, ...], entries, term: Callable):
+    """Signed sum of ``term(blocks)`` over the block shuffles of ``entries``.
+
+    ``blocks`` holds one tuple of entries per degree, the entries of each
+    block in their order in ``entries``; the sign is that of
+    :func:`_split_patterns`.
+    """
+    total = None
+    for sign, pos_blocks in _split_patterns(len(entries), tuple(degrees)):
+        value = term([tuple(entries[k] for k in blk) for blk in pos_blocks])
+        value = value if sign == 1 else -value
+        total = value if total is None else total + value
+    return total
+
+
 def poly_wedge(forms: list[FormField], combine: Callable) -> FormField:
     """Wedge-combine k forms through a multilinear value map.
 
@@ -155,16 +170,10 @@ def poly_wedge(forms: list[FormField], combine: Callable) -> FormField:
     total_degree = sum(degrees)
 
     def coeff(p, idx):
-        total = None
-        for sign, pos_blocks in _split_patterns(len(idx), degrees):
-            vals = [
-                f.coeff(p, tuple(idx[k] for k in blk))
-                for f, blk in zip(forms, pos_blocks)
-            ]
-            term = combine(vals)
-            term = term if sign == 1 else -term
-            total = term if total is None else total + term
-        return total
+        def term(blocks):
+            return combine([f.coeff(p, blk) for f, blk in zip(forms, blocks)])
+
+        return _shuffle_sum(degrees, idx, term)
 
     return FormField(total_degree, dim, coeff)
 
@@ -390,11 +399,9 @@ def _worst(values) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
-def max_coeff(form: FormField, points, tuples=None) -> float:
-    """Max absolute coefficient over sample points (all tuples by default)."""
-    idxs = list(tuples) if tuples is not None else list(
-        combinations(range(form.dim), form.degree)
-    )
+def max_coeff(form: FormField, points) -> float:
+    """Max absolute coefficient over sample points and all index tuples."""
+    idxs = list(combinations(range(form.dim), form.degree))
     return _worst(
         [np.max(np.abs(np.asarray(form.coeff(p, idx)))) for p in points for idx in idxs]
     )

@@ -86,12 +86,11 @@ def _bump_at(t: np.ndarray, sharpness: float, wobble: float) -> np.ndarray:
     return out
 
 
-def _bump_cutoff(
-    N: int, sharpness: float = 1.0, wobble: float = 0.0, fine: int = 16
-) -> CutoffFunction:
-    # cumulative integral through the Fourier antiderivative on a refined
-    # grid: the bump is flat to all orders at the seam but only
+def _bump_cutoff(N: int, sharpness: float = 1.0, wobble: float = 0.0) -> CutoffFunction:
+    # cumulative integral through the Fourier antiderivative on a 16 times
+    # finer grid: the bump is flat to all orders at the seam but only
     # subgeometrically resolved, so the refinement buys back accuracy
+    fine = 16
     M = fine * N
     theta = lp.grid(M)
     b = _bump_at(theta, sharpness, wobble)
@@ -167,18 +166,14 @@ def _antisym_eval(contractions, degrees, frame):
     frame vector or pair: each block lists its positions in increasing
     order.  Each contraction must be antisymmetric within each slot (the
     2-slots here take ``a@b - b@a``), so the q_i! orderings inside a block
-    give equal terms: the sum runs over the block shuffles of
-    ``formscalc._split_patterns`` with weight prod q_i! / Q! (30 terms
-    instead of 120 for degrees (1, 2, 2)).
+    give equal terms: the sum is ``formscalc._shuffle_sum``, the shuffle
+    sum ``poly_wedge`` uses, over the block shuffles only, with weight
+    prod q_i! / Q! (30 terms instead of 120 for degrees (1, 2, 2)).
     """
     Q = sum(degrees)
     if len(frame) != Q:
         raise ValueError(f"need {Q} frame vectors, got {len(frame)}")
-    total = None
-    for sign, blocks in fc._split_patterns(Q, tuple(degrees)):
-        term = contractions([tuple(frame[i] for i in blk) for blk in blocks])
-        term = term if sign == 1 else -term
-        total = term if total is None else total + term
+    total = fc._shuffle_sum(degrees, frame, contractions)
     return total * (prod(factorial(q) for q in degrees) / factorial(Q))
 
 

@@ -149,22 +149,20 @@ def _point_tangent(cfg: RunConfig, rng, variant, slots: int):
 
 
 # One side of a twin check, LG or LG x| S1: its random connection data
-# (rng, dim, N, n, fd_step=), gauge function (rng, dim, N, n), group point
-# and tangent draws (cfg, rng), and string 3-form of connection data.
-_Variant = namedtuple("_Variant", "connection gauge point tangent string_form")
+# (rng, dim, N, n, fd_step=), gauge function (rng, dim, N, n), and group
+# point and tangent draws (cfg, rng).
+_Variant = namedtuple("_Variant", "connection gauge point tangent")
 _LG = _Variant(
     sampling.random_lg_connection,
     sampling.random_gauge_loop,
     _group_loop,
     _algebra_loop,
-    connections.string_form_lg,
 )
 _LGXS1 = _Variant(
     sampling.random_lgxs1_connection,
     sampling.random_semidirect_gauge,
     _sd_group,
     _sd_algebra,
-    connections.string_form_lgxs1,
 )
 
 
@@ -532,7 +530,7 @@ def _string_higher_match(cfg: RunConfig, rng) -> float:
     c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
     hi = connections.higher_string_form(f, 2, c)
-    lo = connections.string_form_lg(c)
+    lo = connections.string_form(c)
     diff = fc.form_sum([hi, lo], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
@@ -545,7 +543,7 @@ def _string_independence(cfg: RunConfig, rng) -> float:
     c0 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     c1 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
-    psi = connections.independence_homotopy_form(f, k, c0, c1, t_steps=16)
+    psi = connections.independence_homotopy_form(f, k, c0, c1)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
     s0 = connections.higher_string_form(f, k, c0)
     s1 = connections.higher_string_form(f, k, c1)
@@ -561,7 +559,7 @@ def _string_gauge(cfg: RunConfig, rng, variant) -> float:
     c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     sigma = variant.gauge(rng, dim, cfg.samples, cfg.n)
     ct = connections.gauge_transform(c, sigma)
-    diff = fc.form_sum([variant.string_form(c), variant.string_form(ct)], [1.0, -1.0])
+    diff = fc.form_sum([connections.string_form(c), connections.string_form(ct)], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
 
@@ -576,7 +574,7 @@ def _string_reduction(cfg: RunConfig, rng) -> float:
         fd_step=cfg.fd_step,
     )
     diff = fc.form_sum(
-        [connections.string_form_lgxs1(ext), connections.string_form_lg(base)],
+        [connections.string_form(ext), connections.string_form(base)],
         [1.0, -1.0],
     )
     pts = sampling.random_chart_points(rng, dim, 3)
@@ -594,8 +592,8 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
     u = 0.3 * rng.standard_normal(chart.group_dim)
     x = 0.3 * rng.standard_normal(dim)
 
-    F = connections.curvature_lg(c).F
-    nabla = connections.covariant_higgs_lg(c)
+    F = connections.curvature(c).F
+    nabla = connections.covariant_higgs(c)
     g = chart.group_point(u)
 
     # horizontal probes of the base coordinate directions, in (base, group)
@@ -700,7 +698,7 @@ def _caloron_pont(cfg: RunConfig, rng, variant) -> float:
     def trial():
         c = variant.connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = variant.string_form(c)
+        s = connections.string_form(c)
         pts = sampling.random_chart_points(rng, 3, 1)
         return _frame_eval_residual(p1, s, rng, pts)
 
@@ -733,7 +731,7 @@ def _caloron_loop_bundle_slice(cfg: RunConfig, rng) -> float:
     pts = sampling.random_chart_points(rng, dim, 2)
     transport = caloron.g_curvature_transport_check(c, pts)
     p1 = caloron.pontrjagyn_fiber_integral(c)
-    s = connections.string_form_lg(c)
+    s = connections.string_form(c)
     return fc._worst([transport, _frame_eval_residual(p1, s, rng, pts)])
 
 
@@ -928,11 +926,11 @@ def _ce_delta_sq(cfg: RunConfig, rng) -> float:
         )
         return float(val)
 
-    d1 = centralext.delta_of(test_form, cfg.fd_step)
+    d1 = partial(centralext.simplicial_delta_eval, test_form, h=cfg.fd_step)
 
     def trial():
         pts, tans = _point_tangent(cfg, rng, _LG, 4)
-        return abs(centralext.simplicial_delta_eval(d1, pts, tans, cfg.fd_step))
+        return abs(centralext.simplicial_delta_eval(d1, pts, tans, h=cfg.fd_step))
 
     return _worst_over(5, trial)
 

@@ -70,10 +70,8 @@ def bandlimited_algebra_loop(
     return scale * out / (kmax + 1)
 
 
-def bandlimited_group_loop(
-    rng: np.random.Generator, N: int, n: int, kmax: int = 3, scale: float = 0.5
-) -> np.ndarray:
-    return lp.exp_loop(bandlimited_algebra_loop(rng, N, n, kmax, scale))
+def bandlimited_group_loop(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    return lp.exp_loop(bandlimited_algebra_loop(rng, N, n))
 
 
 def random_poly(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Callable:
@@ -91,15 +89,11 @@ def random_poly(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Calla
 
 
 def random_loop_one_form(
-    rng: np.random.Generator,
-    dim: int,
-    N: int,
-    n: int,
-    kmax: int = 3,
-    terms: int = 2,
-    scale: float = 0.6,
+    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 3
 ) -> fc.FormField:
-    """Loop-algebra-valued 1-form: each component a poly/loop mixture."""
+    """Loop-algebra-valued 1-form: each component a mixture of two
+    poly/loop terms, scaled by 0.6."""
+    terms = 2
     polys = [[random_poly(rng, dim) for _ in range(terms)] for _ in range(dim)]
     loops = [
         [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
@@ -111,71 +105,64 @@ def random_loop_one_form(
         out = np.zeros((N, n, n), dtype=complex)
         for f, xi in zip(polys[i], loops[i]):
             out += f(p) * xi
-        return scale * out / terms
+        return 0.6 * out / terms
 
     return fc.FormField(1, dim, coeff)
 
 
-def random_real_one_form(
-    rng: np.random.Generator, dim: int, scale: float = 0.4
-) -> fc.FormField:
+def random_real_one_form(rng: np.random.Generator, dim: int) -> fc.FormField:
     polys = [random_poly(rng, dim) for _ in range(dim)]
 
     def coeff(p, idx):
         (i,) = idx
-        return scale * polys[i](p)
+        return 0.4 * polys[i](p)
 
     return fc.FormField(1, dim, coeff)
 
 
-def random_higgs_field(
-    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 3,
-    terms: int = 2, scale: float = 0.6,
-) -> fc.FormField:
-    """Loop-algebra-valued 0-form p |-> sum_j p_j(p) xi_j(theta)."""
+def random_higgs_field(rng: np.random.Generator, dim: int, N: int, n: int) -> fc.FormField:
+    """Loop-algebra-valued 0-form p |-> 0.6 sum_j p_j(p) xi_j(theta) / 2,
+    two terms with kmax = 3."""
+    terms = 2
     polys = [random_poly(rng, dim) for _ in range(terms)]
-    loops = [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
+    loops = [bandlimited_algebra_loop(rng, N, n, 3, 1.0) for _ in range(terms)]
 
     def phi(p, idx):
         out = np.zeros((N, n, n), dtype=complex)
         for f, xi in zip(polys, loops):
             out += f(p) * xi
-        return scale * out / terms
+        return 0.6 * out / terms
 
     return fc.FormField(0, dim, phi)
 
 
 def random_lg_connection(
-    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 3,
-    fd_step: float = 1e-4,
+    rng: np.random.Generator, dim: int, N: int, n: int, fd_step: float = 1e-4
 ):
     from .connections import LGConnectionData
 
-    A = random_loop_one_form(rng, dim, N, n, kmax)
-    phi = random_higgs_field(rng, dim, N, n, kmax)
+    A = random_loop_one_form(rng, dim, N, n)
+    phi = random_higgs_field(rng, dim, N, n)
     return LGConnectionData(A=A, phi=phi, dim=dim, N=N, n=n, fd_step=fd_step)
 
 
 def random_lgxs1_connection(
-    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 3,
-    fd_step: float = 1e-4,
+    rng: np.random.Generator, dim: int, N: int, n: int, fd_step: float = 1e-4
 ):
     from .connections import LGxS1ConnectionData
 
-    A = random_loop_one_form(rng, dim, N, n, kmax)
+    A = random_loop_one_form(rng, dim, N, n)
     a = random_real_one_form(rng, dim)
-    phi = random_higgs_field(rng, dim, N, n, kmax)
+    phi = random_higgs_field(rng, dim, N, n)
     return LGxS1ConnectionData(A=A, a=a, phi=phi, dim=dim, N=N, n=n, fd_step=fd_step)
 
 
-def random_gauge_loop(
-    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 2,
-    scale: float = 0.5,
-) -> fc.FormField:
-    """Smooth chart -> LG map x |-> exp(sum_j p_j(x) xi_j(theta)), a 0-form."""
+def random_gauge_loop(rng: np.random.Generator, dim: int, N: int, n: int) -> fc.FormField:
+    """Smooth chart -> LG map x |-> exp(sum_j p_j(x) xi_j(theta) / 2), a
+    0-form: two terms, polynomials scaled by 0.5, loops with kmax = 2."""
     terms = 2
-    polys = [random_poly(rng, dim, scale=scale) for _ in range(terms)]
-    loops = [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
+    polys = [random_poly(rng, dim, scale=0.5) for _ in range(terms)]
+    loops = [bandlimited_algebra_loop(rng, N, n, 2, 1.0) for _ in range(terms)]
 
     def sigma(p, idx):
         acc = np.zeros((N, n, n), dtype=complex)
@@ -186,12 +173,9 @@ def random_gauge_loop(
     return fc.FormField(0, dim, sigma)
 
 
-def random_semidirect_gauge(
-    rng: np.random.Generator, dim: int, N: int, n: int, kmax: int = 2,
-    scale: float = 0.5,
-) -> fc.FormField:
+def random_semidirect_gauge(rng: np.random.Generator, dim: int, N: int, n: int) -> fc.FormField:
     """Smooth chart -> LG x| S1 map, a 0-form with SemiDirectGroupElement values."""
-    loop_part = random_gauge_loop(rng, dim, N, n, kmax, scale)
+    loop_part = random_gauge_loop(rng, dim, N, n)
     angle_poly = random_poly(rng, dim, scale=0.3)
 
     def sigma(p, idx):
@@ -200,10 +184,8 @@ def random_semidirect_gauge(
     return fc.FormField(0, dim, sigma)
 
 
-def random_chart_points(
-    rng: np.random.Generator, dim: int, count: int, scale: float = 0.4
-) -> list[np.ndarray]:
-    return [scale * rng.standard_normal(dim) for _ in range(count)]
+def random_chart_points(rng: np.random.Generator, dim: int, count: int) -> list[np.ndarray]:
+    return [0.4 * rng.standard_normal(dim) for _ in range(count)]
 
 
 def random_frame(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:

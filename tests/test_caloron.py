@@ -182,7 +182,7 @@ class TestPontrjagyn:
     def test_matches_string_form(self):
         c = sampling.random_lg_connection(RNG, 3, N, 2)
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form_lg(c)
+        s = cn.string_form(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
 
@@ -190,7 +190,7 @@ class TestPontrjagyn:
         # doubling the pairing normalization doubles both routes identically
         c = sampling.random_lg_connection(RNG, 3, N, 2)
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form_lg(c)
+        s = cn.string_form(c)
         p = 0.3 * RNG.standard_normal(3)
         idx = (0, 1, 2)
         assert 2 * p1.coeff(p, idx) == pytest.approx(
@@ -200,7 +200,7 @@ class TestPontrjagyn:
     def test_twisted_matches_string_form(self):
         c = sampling.random_lgxs1_connection(RNG, 3, N, 2)
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form_lgxs1(c)
+        s = cn.string_form(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
 
@@ -239,6 +239,6 @@ class TestLoopBundleSlice:
         pts = [0.3 * RNG.standard_normal(dim)]
         assert caloron.g_curvature_transport_check(c, pts) < 1e-5
         p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form_lg(c)
+        s = cn.string_form(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, pts) < 1e-5

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -76,27 +78,27 @@ class TestAlpha:
         g1 = sampling.bandlimited_group_loop(RNG, N, 2)
         g2 = np.broadcast_to(sampling.random_group(RNG, 2), (N, 2, 2)).copy()
         xi = sampling.bandlimited_algebra_loop(RNG, N, 2)
-        val = ce.alpha_form_lg((g1, g2), (xi, 0 * xi))
+        val = ce.alpha_form((g1, g2), (xi, 0 * xi))
         assert abs(val) < 1e-12
 
     def test_zero_first_tangent(self):
         pts, tans = lg_point_tangent(2)
-        val = ce.alpha_form_lg(pts, (0 * tans[0], tans[1]))
+        val = ce.alpha_form(pts, (0 * tans[0], tans[1]))
         assert val == 0.0
 
     def test_left_invariance_first_slot(self):
         pts, tans = lg_point_tangent(2)
         other = sampling.bandlimited_group_loop(RNG, N, 2)
-        v1 = ce.alpha_form_lg(pts, tans)
-        v2 = ce.alpha_form_lg((other, pts[1]), tans)
+        v1 = ce.alpha_form(pts, tans)
+        v2 = ce.alpha_form((other, pts[1]), tans)
         assert v1 == pytest.approx(v2, abs=1e-14)
 
     def test_semidirect_reduces(self):
         pts, tans = lg_point_tangent(2)
         sd_pts = tuple(lp.SemiDirectGroupElement(g, 0.0) for g in pts)
         sd_tans = tuple(lp.SemiDirectAlgebraElement(t, 0.0) for t in tans)
-        assert ce.alpha_form_lgxs1(sd_pts, sd_tans) == pytest.approx(
-            ce.alpha_form_lg(pts, tans), abs=1e-14
+        assert ce.alpha_form(sd_pts, sd_tans) == pytest.approx(
+            ce.alpha_form(pts, tans), abs=1e-14
         )
 
     def test_semidirect_constant_loop_vanishes(self):
@@ -112,7 +114,7 @@ class TestAlpha:
         t2 = lp.SemiDirectAlgebraElement(
             sampling.bandlimited_algebra_loop(RNG, N, 2), -0.3
         )
-        assert ce.alpha_form_lgxs1((g1, g2), (t1, t2)) == pytest.approx(0.0, abs=1e-12)
+        assert ce.alpha_form((g1, g2), (t1, t2)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSimplicial:
@@ -137,7 +139,7 @@ class TestSimplicial:
             )
             return float(val)
 
-        d1 = ce.delta_of(test_form)
+        d1 = partial(ce.simplicial_delta_eval, test_form)
         pts, tans = lg_point_tangent(4)
         assert abs(ce.simplicial_delta_eval(d1, pts, tans)) < 1e-6
 
@@ -181,7 +183,7 @@ class TestSimplicial:
         d_alpha_1 = 0.5 * (
             directional(tx, ty) - directional(ty, tx) - alpha_uncorrected(pts, bracket)
         )
-        rhs = ce.delta_two_form(ce._r_eval, pts, tx, ty)
+        rhs = ce.simplicial_delta_eval(ce._r_eval, pts, tx, ty)
         assert abs(d_alpha_1 - rhs) > 1e-4
 
     def test_delta_alpha_zero_lg(self):
@@ -432,6 +434,8 @@ class TestFacePush:
             assert all(_same(a, b) for a, b in zip(got, want))
 
     def test_two_flows_per_slot(self, draw, monkeypatch):
+        # per tangent set: a triple point's 1-form takes 3 slots x 2 signs,
+        # a pair point's 2-form 2 x 2 for each of its two sets
         calls = []
         exp_loop = lp.exp_loop
 
@@ -440,6 +444,11 @@ class TestFacePush:
             return exp_loop(xi)
 
         pts, tans = draw(3)
+        pair, tx = draw(2)
+        _, ty = draw(2)
         monkeypatch.setattr(lp, "exp_loop", counted)
         ce.simplicial_delta_eval(ce.alpha_form, pts, tans)
         assert len(calls) == 6
+        calls.clear()
+        ce.simplicial_delta_eval(ce._r_eval, pair, tx, ty)
+        assert len(calls) == 8

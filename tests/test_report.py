@@ -272,12 +272,11 @@ class TestCLI:
         assert "lie.bracket.jacobbi" in capsys.readouterr().err
 
     def test_memory_budget_exit_two(self, monkeypatch, capsys):
-        import loopforms.cli
+        # run_suite validates the config before it selects any check
+        def must_not_run(suite):
+            raise AssertionError("checks selected")
 
-        def must_not_run(cfg):
-            raise AssertionError("run_suite reached")
-
-        monkeypatch.setattr(loopforms.cli, "run_suite", must_not_run)
+        monkeypatch.setattr(rp, "checks_for", must_not_run)
         code = cli_main(["verify", "--samples", "100000000", "--n", "50"])
         assert code == 2
         assert "budget" in capsys.readouterr().err
