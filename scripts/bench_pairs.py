@@ -17,13 +17,19 @@ medians and in how many pairs the change was better (ties count for
 neither side).  It writes the last json line of each side's last run per
 workload, the per-pair values and the machine to ``<prefix>_parent.json``
 and ``<prefix>_change.json``.  Exits 2 if a run fails to measure.
+
+Each ``run.py`` runs in a session of its own.  On SIGTERM or SIGINT the
+script kills that session's process group (``run.py`` and its workers),
+removes the unpacked base tree and exits 128 + the signal number.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -50,11 +56,20 @@ def run_bench(tree: str, workload: str, seed: int | None) -> tuple[dict, dict]:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
     if seed is not None:
         cmd += ["--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate()
+    except BaseException:
+        # stopped by a signal: take run.py's workers down with it
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
     if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(err)
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode} in {tree}")
-    lines = proc.stdout.strip().splitlines()
+    lines = out.strip().splitlines()
     env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
     return env, json.loads(lines[-1])
 
@@ -103,6 +118,12 @@ def summarize(workload: str, spec: list[dict], runs: dict[str, list[dict]]) -> l
     return lines
 
 
+def _stop(signum, frame):
+    """Leave through every ``finally`` and ``with``, so the runs and the
+    base tree are cleaned up."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base_rev")
@@ -124,6 +145,8 @@ def main(argv=None) -> int:
     runs = {w: {"parent": [], "change": []} for w in args.workload}
     last = {"parent": {}, "change": {}}
     report = []
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, _stop)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         unpack(base, tmp)
         trees = {"parent": tmp, "change": ROOT}

@@ -18,13 +18,7 @@ from scipy.linalg import expm as _expm, logm as _logm
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .connections import (
-    LGConnectionData,
-    LGxS1ConnectionData,
-    covariant_higgs,
-    curvature,
-    string_cylinder,
-)
+from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
 from .liecore import pontrjagyn_polynomial, eval_invariant_polynomial, sun_basis
 
 
@@ -193,28 +187,17 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
 
 def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedChart,
                      x: np.ndarray, u: np.ndarray) -> dict:
-    """Ad(g^{-1})(F + nabla Phi ^ dtheta) componentwise; group slots vanish.
-
-    For LG x| S1 data the target is Ad(g^{-1})(F + f Phi + nabla Phi ^ (a + dtheta)).
-    """
+    """Ad(g^{-1}) of the transported curvature ``string_cylinder(c)``
+    componentwise: beta on base pairs, gamma on (base, theta); group slots
+    vanish."""
     g = chart.group_point(u)
-    twisted = isinstance(c, LGxS1ConnectionData)
-    pair = curvature(c)
-    nabla = covariant_higgs(c)
+    cyl = string_cylinder(c)
     ti = chart.theta_index
     out = {}
     for i in range(c.dim):
         for j in range(i + 1, c.dim):
-            val = pair.F.coeff(x, (i, j))
-            if twisted:
-                val = (
-                    val
-                    + pair.f.coeff(x, (i, j)) * c.phi(x)
-                    + nabla.coeff(x, (i,)) * c.a.coeff(x, (j,))
-                    - nabla.coeff(x, (j,)) * c.a.coeff(x, (i,))
-                )
-            out[(i, j)] = _ad_inv(g, val)
-        out[(i, ti)] = _ad_inv(g, nabla.coeff(x, (i,)))
+            out[(i, j)] = _ad_inv(g, cyl.beta.coeff(x, (i, j)))
+        out[(i, ti)] = _ad_inv(g, cyl.gamma.coeff(x, (i,)))
     return out
 
 

@@ -27,6 +27,7 @@ from .connections import (
     partial_theta,
     string_form,
 )
+from .liecore import killing
 
 FD_STEP = 1e-4
 BRIDGE_TO_STRING_FORM = 2.0 * pi
@@ -38,8 +39,7 @@ def _is_semidirect(x) -> bool:
 
 def _pair_integral(x, y) -> float:
     """(1/2 pi) Int <x, y> dtheta for algebra loops."""
-    vals = np.real(-np.einsum("jab,jba->j", x, y))
-    return float(lp.circle_integral(vals)) / (2.0 * pi)
+    return float(lp.circle_integral(killing(x, y))) / (2.0 * pi)
 
 
 def r_form(point, X, Y) -> float:
@@ -52,12 +52,7 @@ def r_form(point, X, Y) -> float:
     """
     xi = X.loop_part if isinstance(X, lp.SemiDirectAlgebraElement) else X
     zeta = Y.loop_part if isinstance(Y, lp.SemiDirectAlgebraElement) else Y
-    if xi.shape != zeta.shape:
-        raise ValueError("probe grids differ")
-    sym = 0.5 * (
-        np.real(-np.einsum("jab,jba->j", xi, lp.loop_derivative(zeta)))
-        - np.real(-np.einsum("jab,jba->j", zeta, lp.loop_derivative(xi)))
-    )
+    sym = 0.5 * (killing(xi, lp.loop_derivative(zeta)) - killing(zeta, lp.loop_derivative(xi)))
     return float(lp.circle_integral(sym)) / (4.0 * pi)
 
 
@@ -70,8 +65,6 @@ def alpha_form(point, tangents) -> float:
         z2 = lp.z_map(g2.loop_part)
         probe = t1.loop_part - 0.5 * t1.circle_part * z2
         return _pair_integral(probe, z2)
-    if t1.shape != g2.shape:
-        raise ValueError("probe grids differ")
     return _pair_integral(t1, lp.z_map(g2))
 
 
@@ -259,21 +252,14 @@ def curving_direct(c) -> fc.FormField:
     """B = (1/2 pi) Int (1/2)<A, dA/dtheta> - <F, Phi> dtheta for plain loop
     data; with the rotation twist, (1/4 pi) Int <A, dA/dtheta>
     - 2 <F + (1/2) f Phi, Phi> dtheta.  Real 2-form, i stripped."""
-    AdA = fc.wedge_pair(c.A, partial_theta(c.A))
-    twisted = isinstance(c, LGxS1ConnectionData)
     pair = curvature(c)
-
-    def coeff(p, idx):
-        phi = c.phi(p)
-        lifted = pair.F.coeff(p, idx)
-        if twisted:
-            lifted = lifted + 0.5 * pair.f.coeff(p, idx) * phi
-        inner = 0.5 * np.asarray(AdA.coeff(p, idx)) - np.real(
-            -np.einsum("jab,jba->j", lifted, phi)
-        )
-        return float(lp.circle_integral(inner)) / (2.0 * pi)
-
-    return fc.FormField(2, c.dim, coeff)
+    lifted = pair.F
+    if isinstance(c, LGxS1ConnectionData):
+        lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)], [1.0, 0.5])
+    inner = fc.form_sum(
+        [fc.wedge_pair(c.A, partial_theta(c.A)), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
+    )
+    return fc.scale_form(1.0 / (2.0 * pi), fc.integrate_loop_form(inner))
 
 
 def extension_cocycle(a: lp.SemiDirectAlgebraElement, b: lp.SemiDirectAlgebraElement) -> float:

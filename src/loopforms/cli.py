@@ -53,7 +53,10 @@ def _config_from_args(args) -> RunConfig:
             fields.update(json.load(fh))
     env_seed = os.environ.get("LOOPFORMS_SEED")
     if env_seed is not None and "seed" not in fields:
-        fields["seed"] = int(env_seed)
+        try:
+            fields["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"LOOPFORMS_SEED must be an integer, got {env_seed!r}") from None
     overrides = {
         "suite": args.suite,
         "seed": args.seed,

@@ -65,15 +65,6 @@ def partial_theta(form: fc.FormField) -> fc.FormField:
     )
 
 
-def _bracket_A_phi(c) -> fc.FormField:
-    def coeff(p, idx):
-        Ai = c.A.coeff(p, idx)
-        ph = c.phi(p)
-        return Ai @ ph - ph @ Ai
-
-    return fc.FormField(1, c.dim, coeff)
-
-
 def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
     """F = dA + (1/2)[A, A]; for LG x| S1 data
     (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da)."""
@@ -89,24 +80,12 @@ def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
 def covariant_higgs(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
     """nabla Phi = dPhi + [A, Phi] - dA/dtheta; for LG x| S1 data also
     - a dPhi/dtheta."""
-    terms = [fc.exterior_derivative(c.phi, c.fd_step), _bracket_A_phi(c), partial_theta(c.A)]
+    terms = [fc.exterior_derivative(c.phi, c.fd_step), fc.wedge_bracket(c.A, c.phi),
+             partial_theta(c.A)]
     if not isinstance(c, LGxS1ConnectionData):
         return fc.form_sum(terms, [1.0, 1.0, -1.0])
-
-    def twist_coeff(p, idx):
-        return fc._scalar_times(c.a.coeff(p, idx), lp.loop_derivative(c.phi(p)))
-
-    twist = fc.FormField(1, c.dim, twist_coeff)
+    twist = fc.wedge_scalar(c.a, partial_theta(c.phi))
     return fc.form_sum(terms + [twist], [1.0, 1.0, -1.0, -1.0])
-
-
-def _f_phi_form(c: LGxS1ConnectionData, f2: fc.FormField) -> fc.FormField:
-    """The 2-form f Phi (real 2-form times the Higgs 0-form)."""
-
-    def coeff(p, idx):
-        return fc._scalar_times(f2.coeff(p, idx), c.phi(p))
-
-    return fc.FormField(2, c.dim, coeff)
 
 
 def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
@@ -115,7 +94,7 @@ def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
     pair = curvature(c)
     lifted = pair.F
     if isinstance(c, LGxS1ConnectionData):
-        lifted = fc.form_sum([pair.F, _f_phi_form(c, pair.f)])
+        lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)])
     integrand = fc.wedge_pair(lifted, covariant_higgs(c))
     return fc.scale_form(-1.0 / (4.0 * pi ** 2), fc.integrate_loop_form(integrand))
 
@@ -141,9 +120,11 @@ def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderFor
     nabla = covariant_higgs(c)
     if not isinstance(c, LGxS1ConnectionData):
         return fc.CylinderForm(beta=pair.F, gamma=nabla)
-    beta = fc.form_sum([pair.F, _f_phi_form(c, pair.f), fc.poly_wedge(
-        [nabla, c.a], lambda v: fc._scalar_times(v[1], v[0])
-    )])
+    # nabla Phi ^ a = -a ^ nabla Phi
+    beta = fc.form_sum(
+        [pair.F, fc.wedge_scalar(pair.f, c.phi), fc.wedge_scalar(c.a, nabla)],
+        [1.0, 1.0, -1.0],
+    )
     return fc.CylinderForm(beta=beta, gamma=nabla)
 
 
@@ -167,7 +148,7 @@ def independence_homotopy_form(
         raise ValueError(f"polynomial degree {f.degree} != k = {k}")
 
     alpha = fc.form_sum([c1.A, c0.A], [1.0, -1.0])
-    varphi = fc.FormField(0, c0.dim, lambda p, idx: c1.phi(p) - c0.phi(p))
+    varphi = fc.form_sum([c1.phi, c0.phi], [1.0, -1.0])
     diff_cyl = fc.CylinderForm(beta=alpha, gamma=varphi)
 
     ts = np.linspace(0.0, 1.0, t_steps + 1)
@@ -178,7 +159,7 @@ def independence_homotopy_form(
     terms = []
     for t in ts:
         At = fc.form_sum([c0.A, alpha], [1.0, float(t)])
-        phit = fc.FormField(0, c0.dim, lambda p, idx, t=t: c0.phi(p) + t * varphi(p))
+        phit = fc.form_sum([c0.phi, varphi], [1.0, float(t)])
         ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
         cyl_t = string_cylinder(ct)
         integrand = fc.cyl_poly_wedge(

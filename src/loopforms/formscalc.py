@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .liecore import killing
 from .loopspace import central, circle_integral
 
 PULLBACK_STEP = 1e-5  # step of pullback's finite-difference Jacobian
@@ -191,14 +192,9 @@ def wedge_bracket(A: FormField, B: FormField) -> FormField:
     return poly_wedge([A, B], lambda v: v[0] @ v[1] - v[1] @ v[0])
 
 
-def pairing(X, Y):
-    """Pointwise invariant pairing -Re tr(XY), broadcasting over loops."""
-    return np.real(-np.einsum("...ij,...ji->...", X, Y))
-
-
 def wedge_pair(A: FormField, B: FormField) -> FormField:
     """Killing-paired wedge; loop-valued inputs give loop-real coefficients."""
-    return poly_wedge([A, B], lambda v: pairing(v[0], v[1]))
+    return poly_wedge([A, B], lambda v: killing(v[0], v[1]))
 
 
 def wedge_scalar(a: FormField, B: FormField) -> FormField:
@@ -259,6 +255,25 @@ def _minor(m) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _minor_sum(form: FormField, point, rows: np.ndarray):
+    """sum_I det(rows[:, I]) c_I(point) over increasing q-tuples I.
+
+    ``rows`` is q x dim.  Zero minors are skipped; if every minor is zero
+    the sum is a zero of the coefficients' shape.
+    """
+    q = form.degree
+    total = None
+    for idx in combinations(range(form.dim), q):
+        det = _minor(rows[:, idx])
+        if det == 0.0:
+            continue
+        term = det * np.asarray(form.coeff(point, idx))
+        total = term if total is None else total + term
+    if total is None:
+        total = 0.0 * np.asarray(form.coeff(point, tuple(range(q))))
+    return total
+
+
 def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
     """Alternating evaluation with the 1/q! normalization."""
     q = form.degree
@@ -269,16 +284,7 @@ def evaluate(form: FormField, point: np.ndarray, vectors) -> object:
     vecs = np.asarray(vectors, dtype=float)
     if vecs.shape[1] != form.dim:
         raise ChartMismatch("vector length does not match chart dimension")
-    total = None
-    for idx in combinations(range(form.dim), q):
-        det = _minor(vecs[:, idx])
-        if det == 0.0:
-            continue
-        term = det * np.asarray(form.coeff(point, idx))
-        total = term if total is None else total + term
-    if total is None:
-        total = 0.0 * np.asarray(form.coeff(point, tuple(range(q))))
-    return total / factorial(q)
+    return _minor_sum(form, point, vecs) / factorial(q)
 
 
 def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
@@ -323,25 +329,13 @@ def pullback(
             cols.append(central(hi, lo, PULLBACK_STEP))
         return np.stack(cols, axis=1)
 
-    q = form.degree
-
     def coeff(u, idx):
         x = np.asarray(mapping(u), dtype=float)
         if x.shape[0] != form.dim:
             raise ChartMismatch("mapping target does not match form chart")
-        J = jac(u)
-        total = None
-        for I in combinations(range(form.dim), q):
-            minor = _minor(J[np.ix_(I, idx)])
-            if minor == 0.0:
-                continue
-            term = minor * np.asarray(form.coeff(x, I))
-            total = term if total is None else total + term
-        if total is None:
-            total = 0.0 * np.asarray(form.coeff(x, tuple(range(q))))
-        return total
+        return _minor_sum(form, x, jac(u)[:, idx].T)
 
-    return FormField(q, source_dim, coeff)
+    return FormField(form.degree, source_dim, coeff)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,12 @@ def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def killing(X: np.ndarray, Y: np.ndarray) -> float:
-    """Normalized invariant form <X, Y> = -tr(XY)."""
+def killing(X: np.ndarray, Y: np.ndarray) -> float | np.ndarray:
+    """Normalized invariant form <X, Y> = -Re tr(XY), pointwise over leading
+    axes: a float for two matrices, an array for two loops."""
     _require_same_shape(X, Y)
-    return float(np.real(-np.einsum("ij,ji->", X, Y)))
+    out = np.real(-np.einsum("...ij,...ji->...", X, Y))
+    return float(out) if out.ndim == 0 else out
 
 
 def adjoint_group(g: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from scipy.linalg import logm as _logm
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .liecore import InvariantPolynomial, eval_invariant_polynomial
+from .liecore import InvariantPolynomial, eval_invariant_polynomial, killing
 
 
 @dataclass(frozen=True)
@@ -199,15 +199,13 @@ def pf_string_class_vs_generator(
 
     def contraction(blocks):
         pair, (c,) = blocks
-        return lp.circle_integral(
-            np.real(-np.einsum("jab,jba->j", curv[pair], nab[c]))
-        )
+        return lp.circle_integral(killing(curv[pair], nab[c]))
 
     lhs = -_antisym_eval(contraction, (2, 1), range(3)) / (4.0 * pi ** 2)
 
     def gen(blocks):
         (a,), (b, c) = blocks
-        return np.real(-np.einsum("ab,ba->", a, b @ c - c @ b))
+        return killing(a, b @ c - c @ b)
 
     rhs = _antisym_eval(gen, (1, 2), [V1, V2, V3]) / (48.0 * pi ** 2)
     return float(lhs), float(rhs), float(abs(lhs - rhs))

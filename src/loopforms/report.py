@@ -15,7 +15,9 @@ import time
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
-from math import pi
+from math import isfinite, pi
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,10 @@ class ConfigError(ValueError):
     """Invalid run configuration; nothing was executed."""
 
 
+def _finite_real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 2
@@ -43,6 +49,21 @@ class RunConfig:
     tolerance_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        for name in ("n", "samples", "pathfib_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not _finite_real(self.fd_step):
+            raise ConfigError(f"fd_step must be a finite number, got {self.fd_step!r}")
+        if not isinstance(self.tolerance_overrides, dict):
+            raise ConfigError(
+                f"tolerance_overrides must map check names to tolerances, "
+                f"got {self.tolerance_overrides!r}"
+            )
+        bad = {k: v for k, v in self.tolerance_overrides.items()
+               if not (_finite_real(v) and v >= 0)}
+        if bad:
+            raise ConfigError(f"tolerance overrides must be finite and >= 0: {bad}")
         if self.samples < 4 or self.samples % 2 != 0:
             raise ConfigError(f"samples must be even and >= 4, got {self.samples}")
         if self.pathfib_samples < 4 or self.pathfib_samples % 2 != 0:
@@ -57,7 +78,7 @@ class RunConfig:
             raise ConfigError(
                 f"unknown suite {self.suite!r}; choose from {sorted(SUITES)} or 'all'"
             )
-        unknown = set(self.tolerance_overrides) - {entry[0] for entry in _REGISTRY}
+        unknown = set(self.tolerance_overrides) - {check.name for check in _REGISTRY}
         if unknown:
             raise ConfigError(f"unknown check names in tolerance_overrides: {sorted(unknown)}")
         need = self.peak_loop_bytes()
@@ -100,12 +121,30 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-_REGISTRY: list[tuple[str, str, str, float, object]] = []
+class Check(NamedTuple):
+    """A registered check: ``run(cfg, rng)`` returns its residual."""
+
+    name: str
+    suite: str
+    anchor: str
+    tolerance: float
+    run: Callable
 
 
-def _check(name: str, suite: str, anchor: str, tolerance: float):
+_REGISTRY: list[Check] = []
+
+
+def _check(name: str, suite: str, anchor: str, tolerance: float, **bound):
+    """Register ``fn(cfg, rng, **bound)`` as the check ``name``.
+
+    The decorated function is returned unchanged, so twins and families
+    stack one ``@_check`` line per name, each with its own ``bound``
+    arguments.  Each name seeds its own generator.
+    """
+
     def wrap(fn):
-        _REGISTRY.append((name, suite, anchor, tolerance, fn))
+        run = partial(fn, **bound) if bound else fn
+        _REGISTRY.append(Check(name, suite, anchor, tolerance, run))
         return fn
 
     return wrap
@@ -164,21 +203,6 @@ _LGXS1 = _Variant(
     _sd_group,
     _sd_algebra,
 )
-
-
-def _twins(names: tuple[str, str], suite: str, anchor, tolerance: float):
-    """Register one body ``fn(cfg, rng, variant)`` as an LG check and its
-    LG x| S1 twin.  ``names`` is the (LG, LG x| S1) pair; ``anchor`` is one
-    anchor or such a pair.  Each twin keeps its own name, hence its own
-    generator."""
-    anchors = (anchor, anchor) if isinstance(anchor, str) else anchor
-
-    def wrap(fn):
-        for name, anc, variant in zip(names, anchors, (_LG, _LGXS1)):
-            _check(name, suite, anc, tolerance)(partial(fn, variant=variant))
-        return fn
-
-    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +381,9 @@ def _loops_rotate_integral(cfg: RunConfig, rng) -> float:
         xi = _algebra_loop(cfg, rng)
         zeta = _algebra_loop(cfg, rng)
         phi = rng.uniform(0, 2 * pi)
-        base = lp.circle_integral(fc.pairing(xi, lp.loop_derivative(zeta)))
+        base = lp.circle_integral(liecore.killing(xi, lp.loop_derivative(zeta)))
         moved = lp.circle_integral(
-            fc.pairing(lp.rotate(phi, xi), lp.loop_derivative(lp.rotate(phi, zeta)))
+            liecore.killing(lp.rotate(phi, xi), lp.loop_derivative(lp.rotate(phi, zeta)))
         )
         return abs(base - moved)
 
@@ -508,6 +532,10 @@ def _forms_pullback(cfg: RunConfig, rng) -> float:
 # string suite (connections module)
 # ---------------------------------------------------------------------------
 
+# the cubic symmetrized trace vanishes identically on su(2); k3 runs on su(3)
+@_check("string.closed.k1", "string", "string-form/closedness", 1e-5, k=1, n=None)
+@_check("string.closed.k2", "string", "string-form/closedness", 1e-5, k=2, n=None)
+@_check("string.closed.k3", "string", "string-form/closedness", 1e-5, k=3, n=3)
 def _closedness_residual(cfg: RunConfig, rng, k: int, n: int | None) -> float:
     dim = 2 * k
     c = sampling.random_lg_connection(rng, dim, cfg.samples, n or cfg.n, fd_step=cfg.fd_step)
@@ -515,13 +543,6 @@ def _closedness_residual(cfg: RunConfig, rng, k: int, n: int | None) -> float:
     ds = fc.exterior_derivative(s, cfg.fd_step)
     pts = sampling.random_chart_points(rng, dim, 2)
     return fc.max_coeff(ds, pts)
-
-
-# the cubic symmetrized trace vanishes identically on su(2); k3 runs on su(3)
-for k, n in ((1, None), (2, None), (3, 3)):
-    _check(f"string.closed.k{k}", "string", "string-form/closedness", 1e-5)(
-        partial(_closedness_residual, k=k, n=n)
-    )
 
 
 @_check("string.higher_matches_degree3", "string", "string-form/degree-3-consistency", 1e-12)
@@ -552,8 +573,8 @@ def _string_independence(cfg: RunConfig, rng) -> float:
     return fc.max_coeff(diff, pts)
 
 
-@_twins(("string.gauge_invariance", "string.gauge_invariance_twisted"),
-        "string", "string-form/descent", 1e-5)
+@_check("string.gauge_invariance", "string", "string-form/descent", 1e-5, variant=_LG)
+@_check("string.gauge_invariance_twisted", "string", "string-form/descent", 1e-5, variant=_LGXS1)
 def _string_gauge(cfg: RunConfig, rng, variant) -> float:
     dim = 3
     c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
@@ -637,16 +658,17 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
 # caloron suite
 # ---------------------------------------------------------------------------
 
-@_twins(("caloron.transport", "caloron.transport_twisted"),
-        "caloron", ("caloron/curvature-transport", "caloron/twisted-transport"), 1e-4)
+@_check("caloron.transport", "caloron", "caloron/curvature-transport", 1e-4, variant=_LG)
+@_check("caloron.transport_twisted", "caloron", "caloron/twisted-transport", 1e-4, variant=_LGXS1)
 def _caloron_transport(cfg: RunConfig, rng, variant) -> float:
     c = variant.connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     pts = sampling.random_chart_points(rng, 2, 2)
     return caloron.g_curvature_transport_check(c, pts)
 
 
-@_twins(("caloron.transport.step_refinement", "caloron.transport_twisted.step_refinement"),
-        "caloron", "caloron/fd-convergence", 0.5)
+@_check("caloron.transport.step_refinement", "caloron", "caloron/fd-convergence", 0.5, variant=_LG)
+@_check("caloron.transport_twisted.step_refinement", "caloron", "caloron/fd-convergence", 0.5,
+        variant=_LGXS1)
 def _caloron_transport_refine(cfg: RunConfig, rng, variant) -> float:
     # ratio of residuals at chart steps h and h/2 (the data keep their default
     # step), where truncation dominates round-off; ~0.25 at second order
@@ -692,8 +714,10 @@ def _frame_eval_residual(form_a: fc.FormField, form_b: fc.FormField, rng, pts) -
     return fc._worst(residuals)
 
 
-@_twins(("caloron.pontrjagyn_matches_string", "caloron.pontrjagyn_matches_string_twisted"),
-        "caloron", "caloron/characteristic-integration", 1e-4)
+@_check("caloron.pontrjagyn_matches_string", "caloron", "caloron/characteristic-integration",
+        1e-4, variant=_LG)
+@_check("caloron.pontrjagyn_matches_string_twisted", "caloron",
+        "caloron/characteristic-integration", 1e-4, variant=_LGXS1)
 def _caloron_pont(cfg: RunConfig, rng, variant) -> float:
     def trial():
         c = variant.connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
@@ -868,6 +892,10 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     return fc._worst([np.max(np.abs(vert)), np.max(np.abs(dphi2 - want))])
 
 
+@_check("pathfib.higher_transgression.k2", "pathfib", "transgression/frame-match", 1e-6,
+        k=2, scale=-1.0 / (8.0 * pi ** 2), trials=5, n=None)
+@_check("pathfib.higher_transgression.k3", "pathfib", "transgression/frame-match", 1e-6,
+        k=3, scale=1.0, trials=3, n=3)
 def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: int,
                            n: int | None) -> float:
     alpha = pathfib.default_cutoff(cfg.pathfib_samples)
@@ -882,19 +910,14 @@ def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: i
     return _worst_over(trials, trial)
 
 
-for k, scale, trials, n in ((2, -1.0 / (8.0 * pi ** 2), 5, None), (3, 1.0, 3, 3)):
-    _check(f"pathfib.higher_transgression.k{k}", "pathfib", "transgression/frame-match", 1e-6)(
-        partial(_transgression_residual, k=k, scale=scale, trials=trials, n=n)
-    )
-del k, n, scale, trials
-
-
 # ---------------------------------------------------------------------------
 # centralext suite
 # ---------------------------------------------------------------------------
 
-@_twins(("centralext.dalpha_matches_deltaR.lg", "centralext.dalpha_matches_deltaR.lgxs1"),
-        "centralext", "central-extension/connection-compatibility", 1e-5)
+@_check("centralext.dalpha_matches_deltaR.lg", "centralext",
+        "central-extension/connection-compatibility", 1e-5, variant=_LG)
+@_check("centralext.dalpha_matches_deltaR.lgxs1", "centralext",
+        "central-extension/connection-compatibility", 1e-5, variant=_LGXS1)
 def _ce_dalpha(cfg: RunConfig, rng, variant) -> float:
     def trial():
         pts, tx = _point_tangent(cfg, rng, variant, 2)
@@ -904,8 +927,10 @@ def _ce_dalpha(cfg: RunConfig, rng, variant) -> float:
     return _worst_over(20, trial)
 
 
-@_twins(("centralext.delta_alpha_zero.lg", "centralext.delta_alpha_zero.lgxs1"),
-        "centralext", "central-extension/cocycle-closure", 1e-6)
+@_check("centralext.delta_alpha_zero.lg", "centralext", "central-extension/cocycle-closure",
+        1e-6, variant=_LG)
+@_check("centralext.delta_alpha_zero.lgxs1", "centralext", "central-extension/cocycle-closure",
+        1e-6, variant=_LGXS1)
 def _ce_delta_alpha(cfg: RunConfig, rng, variant) -> float:
     def trial():
         pts, tans = _point_tangent(cfg, rng, variant, 3)
@@ -921,8 +946,8 @@ def _ce_delta_sq(cfg: RunConfig, rng) -> float:
     def test_form(points, tangents):
         # a deliberately non-closed scalar 1-form on G^2
         val = lp.circle_integral(
-            fc.pairing(tangents[0], lp.z_map(points[1]))
-            + 0.5 * fc.pairing(tangents[1], points[0] @ probe @ lp.loop_inverse(points[0]))
+            liecore.killing(tangents[0], lp.z_map(points[1]))
+            + 0.5 * liecore.killing(tangents[1], points[0] @ probe @ lp.loop_inverse(points[0]))
         )
         return float(val)
 
@@ -949,8 +974,10 @@ def _ce_rform_rot(cfg: RunConfig, rng) -> float:
     return _worst_over(10, trial)
 
 
-@_twins(("centralext.delta_epsilon.lg", "centralext.delta_epsilon.lgxs1"),
-        "centralext", "lifting-gerbe/connection-correction", 1e-5)
+@_check("centralext.delta_epsilon.lg", "centralext", "lifting-gerbe/connection-correction",
+        1e-5, variant=_LG)
+@_check("centralext.delta_epsilon.lgxs1", "centralext", "lifting-gerbe/connection-correction",
+        1e-5, variant=_LGXS1)
 def _ce_eps(cfg: RunConfig, rng, variant) -> float:
     dim = 2
 
@@ -987,8 +1014,8 @@ def _ce_ell(cfg: RunConfig, rng) -> float:
     return _worst_over(10, trial)
 
 
-@_twins(("centralext.descent.lg", "centralext.descent.lgxs1"),
-        "centralext", "curving/three-form-descent", 1e-4)
+@_check("centralext.descent.lg", "centralext", "curving/three-form-descent", 1e-4, variant=_LG)
+@_check("centralext.descent.lgxs1", "centralext", "curving/three-form-descent", 1e-4, variant=_LGXS1)
 def _ce_descent(cfg: RunConfig, rng, variant) -> float:
     dim = 3
     c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
@@ -1001,13 +1028,13 @@ def _ce_descent(cfg: RunConfig, rng, variant) -> float:
 # runner
 # ---------------------------------------------------------------------------
 
-SUITES = sorted({suite for _, suite, _, _, _ in _REGISTRY})
+SUITES = sorted({check.suite for check in _REGISTRY})
 
 
-def checks_for(suite: str):
+def checks_for(suite: str) -> list[Check]:
     if suite == "all":
         return list(_REGISTRY)
-    return [entry for entry in _REGISTRY if entry[1] == suite]
+    return [check for check in _REGISTRY if check.suite == suite]
 
 
 def run_suite(config: RunConfig) -> VerificationReport:
@@ -1019,7 +1046,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
     """
     config.validate()
     records = []
-    for name, suite, anchor, tol, fn in sorted(checks_for(config.suite)):
+    for name, _, anchor, tol, fn in sorted(checks_for(config.suite)):
         tol = float(config.tolerance_overrides.get(name, tol))
         rng = sampling.rng_for(config.seed, name)
         t0 = time.perf_counter()

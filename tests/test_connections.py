@@ -265,7 +265,7 @@ class TestLGxS1:
             want = nab_base.coeff(p, (i,)) - c.a.coeff(p, (i,)) * lp.loop_derivative(
                 c.phi(p)
             )
-            assert np.max(np.abs(nab_ext.coeff(p, (i,)) - want)) < 1e-13
+            assert np.array_equal(nab_ext.coeff(p, (i,)), want)
 
     def test_string_form_reduces(self):
         dim = 3

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from loopforms import formscalc as fc
 from loopforms import loopspace as lp
 from loopforms import sampling
+from loopforms.connections import partial_theta
 from loopforms.liecore import exponential
 from loopforms.loopspace import grid
 
@@ -185,6 +188,26 @@ class TestWedge:
         from loopforms.liecore import killing
 
         assert got == pytest.approx(0.5 * killing(xi, zeta), abs=1e-13)
+
+    def test_zero_form_slot(self):
+        # a 0-form slot takes its value at the point: the Higgs-field terms of
+        # covariant_higgs, string_form and string_cylinder, bit for bit
+        dim, N = 3, 16
+        A = sampling.random_loop_one_form(RNG, dim, N, 2)
+        a = sampling.random_real_one_form(RNG, dim)
+        phi = sampling.random_higgs_field(RNG, dim, N, 2)
+        f = fc.exterior_derivative(a, 1e-3)
+        bracket, f_phi = fc.wedge_bracket(A, phi), fc.wedge_scalar(f, phi)
+        twist = fc.wedge_scalar(a, partial_theta(phi))
+        assert (bracket.degree, f_phi.degree, twist.degree) == (1, 2, 1)
+        p = 0.3 * RNG.standard_normal(dim)
+        ph = phi(p)
+        for i in range(dim):
+            Ai = A.coeff(p, (i,))
+            assert np.array_equal(bracket.coeff(p, (i,)), Ai @ ph - ph @ Ai)
+            assert np.array_equal(twist.coeff(p, (i,)), a.coeff(p, (i,)) * lp.loop_derivative(ph))
+        for ij in combinations(range(dim), 2):
+            assert np.array_equal(f_phi.coeff(p, ij), f.coeff(p, ij) * ph)
 
     def test_pair_zero(self):
         dim = 2

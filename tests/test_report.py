@@ -135,7 +135,7 @@ class TestRegistry:
         def check(cfg, rng):
             return rp._worst_over(3, lambda: next(trials))
 
-        monkeypatch.setattr(rp, "_REGISTRY", [("lie.nan_trial", "lie", "x/y", 1e-10, check)])
+        monkeypatch.setattr(rp, "_REGISTRY", [rp.Check("lie.nan_trial", "lie", "x/y", 1e-10, check)])
         (rec,) = rp.run_suite(rp.RunConfig(suite="lie")).checks
         assert math.isnan(rec.residual)
         assert not rec.passed
@@ -281,6 +281,37 @@ class TestCLI:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, env_seed",
+        [
+            ({"tolerance_overrides": {"lie.bracket.jacobi": "x"}}, None),
+            ({"tolerance_overrides": {"lie.bracket.jacobi": -1}}, None),
+            ({"fd_step": "1e-4"}, None),
+            ({"samples": 64.0, "suite": "loops"}, None),
+            ({"seed": "7"}, None),
+            ({"tolerance_overrides": ["lie.bracket.jacobi"]}, None),
+            ({}, "abc"),
+        ],
+        ids=["override-str", "override-negative", "fd_step-str", "samples-float",
+             "seed-str", "overrides-list", "env-seed"],
+    )
+    def test_bad_input_exit_two(self, config, env_seed, tmp_path, monkeypatch, capsys):
+        def must_not_run(suite):
+            raise AssertionError("checks selected")
+
+        monkeypatch.setattr(rp, "checks_for", must_not_run)
+        if env_seed is None:
+            monkeypatch.delenv("LOOPFORMS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LOOPFORMS_SEED", env_seed)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        code = cli_main(["verify", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_suite_honoured(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"suite": "pathfib"}))
@@ -377,6 +408,74 @@ class TestDiffReports:
         assert f"residual changed: {before['checks'][0]['name']}" in out
         assert f"tolerance changed: {before['checks'][1]['name']}" in out
         assert f"anchor changed: {before['checks'][2]['name']}" in out
+
+
+# perfbench/run.py stand-in: starts one child, writes "own child" pids, sleeps
+_STUB_RUN = """\
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+path = os.environ["STUB_PIDS"]
+with open(path + ".part", "w") as fh:
+    fh.write(f"{os.getpid()} {child.pid}")
+os.replace(path + ".part", path)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether a process exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+class TestBenchPairs:
+    def test_sigterm_kills_the_run_and_removes_the_base_tree(self, tmp_path):
+        import os
+        import shutil
+        import signal
+        import time
+
+        repo = tmp_path / "repo"
+        (repo / "scripts").mkdir(parents=True)
+        (repo / "perfbench").mkdir()
+        shutil.copy(ROOT / "scripts" / "bench_pairs.py", repo / "scripts")
+        (repo / "perfbench" / "run.py").write_text(_STUB_RUN)
+        (repo / "BENCHMARK.json").write_text('{"end_to_end": []}')
+        for args in (["init", "-q"], ["add", "-A"],
+                     ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "stub"]):
+            subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+        tmpdir, pids = tmp_path / "tmp", tmp_path / "pids"
+        tmpdir.mkdir()
+        env = dict(os.environ, TMPDIR=str(tmpdir), STUB_PIDS=str(pids))
+        proc = subprocess.Popen(
+            [sys.executable, "scripts/bench_pairs.py", "HEAD", "--workload", "w",
+             "--pairs", "1", "--out-prefix", str(tmp_path / "B")],
+            cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        started = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while not pids.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            started = [int(p) for p in pids.read_text().split()]
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+            assert proc.returncode == 128 + signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, started)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, started))
+            assert list(tmpdir.iterdir()) == []
+        finally:
+            for pid in [proc.pid] + started:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestStep:
