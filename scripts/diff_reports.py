@@ -6,13 +6,23 @@
 Lists checks present in only one report, anchor and tolerance changes,
 and every residual that is not bitwise equal, with its change in decades
 (log10 of after / before).  Exits 0 when the reports agree on all of
-these, 1 otherwise.
+these, 1 otherwise.  Also prints each report's headroom, log10(tol /
+residual), as min and median over its checks by the benchmark's own
+``headroom`` (``perfbench/run.py``), so the ``headroom_*_dec`` metrics can
+be read without a benchmark run; NaN residuals (checks that raised) are
+left out.
 """
 
 import argparse
 import json
 import math
+import os
+import statistics
 import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from run import headroom  # noqa: E402
 
 
 def load_checks(path: str) -> dict:
@@ -24,6 +34,13 @@ def decades(before: float, after: float) -> str:
     if before > 0 and after > 0:
         return f"{math.log10(after / before):+.4f} dec"
     return "n/a"
+
+
+def headroom_line(label: str, checks: dict) -> str:
+    """Min and median headroom in decades, as the benchmark reports them."""
+    dec = headroom({name: (float(c["residual"]).hex(), c["tolerance"])
+                    for name, c in checks.items() if not math.isnan(float(c["residual"]))})
+    return f"headroom {label}: min {min(dec):.4f} dec, median {statistics.median(dec):.4f} dec"
 
 
 def diff(before: dict, after: dict) -> list[str]:
@@ -53,6 +70,8 @@ def main(argv=None) -> int:
         print(line)
     common = len(set(before) & set(after))
     print(f"{common} common checks, {len(lines)} differences")
+    print(headroom_line("before", before))
+    print(headroom_line("after", after))
     return 1 if lines else 0
 
 

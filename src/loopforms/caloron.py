@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm as _expm, logm as _logm
 
 from . import formscalc as fc
 from . import loopspace as lp
 from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
-from .liecore import pontrjagyn_polynomial, eval_invariant_polynomial, sun_basis
+from .liecore import algebra_coordinates, eval_invariant_polynomial, exponential, logarithm
+from .liecore import pontrjagyn_polynomial, sun_basis
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ExtendedChart:
 
     def group_point(self, u: np.ndarray) -> np.ndarray:
         x = sum(ui * e for ui, e in zip(u, self.basis))
-        return self.g0 @ _expm(x)
+        return self.g0 @ exponential(x)
 
     def maurer_cartan(self, u: np.ndarray) -> np.ndarray:
         """Theta coefficients (m, n, n): g^{-1} dg/du_a by central differences."""
@@ -68,11 +68,7 @@ class ExtendedChart:
 
     def identity_coordinates(self) -> np.ndarray:
         """Group coordinates u* with g(u*) = identity."""
-        L = _logm(np.linalg.inv(self.g0))
-        L = 0.5 * (L - L.conj().T)
-        from .liecore import algebra_coordinates
-
-        return algebra_coordinates(L, self.basis)
+        return algebra_coordinates(logarithm(lp.loop_inverse(self.g0)), self.basis)
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,7 @@ class GConnectionField:
 
 
 def _ad_inv(g: np.ndarray, loops: np.ndarray) -> np.ndarray:
-    ginv = np.linalg.inv(g)
-    return ginv @ loops @ g
+    return lp.loop_inverse(g) @ loops @ g
 
 
 def to_g_connection(

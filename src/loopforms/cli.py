@@ -5,6 +5,10 @@
 
 Configuration can also come from a json file (--config); explicit flags
 override file values, and LOOPFORMS_SEED overrides the default seed.
+
+``verify`` exits 0 when every check passes, 1 when a check fails, 2 on a
+configuration error (nothing runs) and 3 when a check raised; 3 takes
+precedence over 1, and the other checks still run and are reported.
 """
 
 from __future__ import annotations
@@ -89,6 +93,8 @@ def main(argv=None) -> int:
             # run_suite validates the config before any check runs
             report = run_suite(_config_from_args(args))
             _write(emit_report(report, args.format), args.out)
+            if any(c.status == "error" for c in report.checks):
+                return 3
             return 0 if report.all_passed else 1
         if args.command == "table":
             _write(coefficient_table(args.kmax), args.out)

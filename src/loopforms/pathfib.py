@@ -20,11 +20,10 @@ from itertools import combinations
 from math import comb, factorial, pi, prod, sqrt
 
 import numpy as np
-from scipy.linalg import logm as _logm
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .liecore import InvariantPolynomial, eval_invariant_polynomial, killing
+from .liecore import InvariantPolynomial, eval_invariant_polynomial, killing, logarithm
 
 
 @dataclass(frozen=True)
@@ -140,8 +139,7 @@ def pf_higgs(p: PathPoint) -> np.ndarray:
     periodic and the derivative can be taken spectrally on v.
     """
     N, n = p.N, p.n
-    L = _logm(p.endpoint)
-    L = 0.5 * (L - L.conj().T)
+    L = logarithm(p.endpoint)
     theta = lp.grid(N)
     ramp = lp.exp_loop(np.einsum("j,kl->jkl", -theta / (2.0 * pi), L))
     v = ramp @ p.samples
@@ -260,8 +258,8 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     N = xi.shape[0]
     M = MAGNUS_REFINE * N
     h = 2.0 * pi / M
-    a1 = _spectral_upsample(xi, M, (0.5 - sqrt(3.0) / 6.0) * h)
-    a2 = _spectral_upsample(xi, M, (0.5 + sqrt(3.0) / 6.0) * h)
+    a1 = lp.resample(xi, M, (0.5 - sqrt(3.0) / 6.0) * h)
+    a2 = lp.resample(xi, M, (0.5 + sqrt(3.0) / 6.0) * h)
     omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * (a1 @ a2 - a2 @ a1)
     block = lp.exp_loop(omega).reshape((N, MAGNUS_REFINE) + xi.shape[1:])
     while block.shape[1] > 1:  # pairwise products inside each block
@@ -279,25 +277,6 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def holonomy_path(xi: np.ndarray) -> PathPoint:
     samples, endpoint = higgs_holonomy(xi)
     return PathPoint(samples, endpoint)
-
-
-def _spectral_upsample(s: np.ndarray, M: int, shift: float) -> np.ndarray:
-    """Band-limited interpolant of N samples at the M >= N points
-    2 pi m / M + shift: a phase factor on the zero-padded spectrum."""
-    N = s.shape[0]
-    half = N // 2
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    k[half] = 0.0  # the Nyquist bin is split over +-N/2 below
-    phase = np.exp(1j * k * shift).reshape((N,) + (1,) * (s.ndim - 1))
-    spec = np.fft.fft(s, axis=0) * phase * (M / N)
-    out = np.zeros((M,) + s.shape[1:], dtype=complex)
-    out[:half] = spec[:half]
-    out[M - half + 1 :] = spec[half + 1 :]
-    # split the Nyquist bin symmetrically (both halves land on one bin at M = N)
-    out[half] += 0.5 * np.exp(0.5j * N * shift) * spec[half]
-    out[M - half] += 0.5 * np.exp(-0.5j * N * shift) * spec[half]
-    res = np.fft.ifft(out, axis=0)
-    return res.real if np.isrealobj(s) else res
 
 
 def transgression_tau(f: InvariantPolynomial, k: int, frame) -> float:

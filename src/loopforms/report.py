@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import time
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, field
@@ -23,6 +24,8 @@ import numpy as np
 
 from . import caloron, centralext, connections, formscalc as fc, liecore, loopspace as lp
 from . import pathfib, sampling
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20090622
 # Largest set of live complex loop samples a run may hold, in bytes; larger
@@ -107,6 +110,8 @@ class CheckRecord:
     tolerance: float
     passed: bool
     millis: float
+    status: str  # "pass", "FAIL", or "error" when the check raised
+    error: str  # the exception's type name for "error", else empty
 
 
 @dataclass(frozen=True)
@@ -640,7 +645,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
         if i >= dim:
             return zero
         gp = chart.group_point(p[dim:])
-        return (np.linalg.inv(gp) @ nabla.coeff(p[:dim], idx) @ gp)[theta_idx]
+        return (lp.loop_inverse(gp) @ nabla.coeff(p[:dim], idx) @ gp)[theta_idx]
 
     psi = fc.FormField(1, dim + chart.group_dim, psi_coeff)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
@@ -649,7 +654,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
     phi = c.phi(x)
     comm = Fval @ phi - phi @ Fval
     dF = lp.loop_derivative(Fval)
-    ginv = np.linalg.inv(g)
+    ginv = lp.loop_inverse(g)
     rhs = 0.5 * (ginv @ (comm - dF)[theta_idx] @ g)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -1042,7 +1047,9 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
     Each check owns a generator derived from (seed, check name), so the
     execution order (or running checks concurrently) can never change the
-    residuals; the record order is normalized by sorting.
+    residuals; the record order is normalized by sorting.  A check that
+    raises is recorded with status "error", residual NaN and the
+    exception's type name, its traceback is logged, and the run goes on.
     """
     config.validate()
     records = []
@@ -1050,18 +1057,15 @@ def run_suite(config: RunConfig) -> VerificationReport:
         tol = float(config.tolerance_overrides.get(name, tol))
         rng = sampling.rng_for(config.seed, name)
         t0 = time.perf_counter()
-        residual = float(fn(config, rng))
+        try:
+            residual, error = float(fn(config, rng)), ""
+        except Exception as exc:
+            _log.exception("check %s raised", name)
+            residual, error = float("nan"), type(exc).__name__
         millis = (time.perf_counter() - t0) * 1000.0
-        records.append(
-            CheckRecord(
-                name=name,
-                anchor=anchor,
-                residual=residual,
-                tolerance=tol,
-                passed=residual <= tol,
-                millis=millis,
-            )
-        )
+        passed = residual <= tol
+        status = "error" if error else "pass" if passed else "FAIL"
+        records.append(CheckRecord(name, anchor, residual, tol, passed, millis, status, error))
     cfg_dict = asdict(config)
     return VerificationReport(
         suite=config.suite, seed=config.seed, config=cfg_dict, checks=tuple(records)
@@ -1069,7 +1073,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
 
 # CheckRecord fields in order, as json keys and csv columns
-_COLUMNS = ("name", "anchor", "residual", "tolerance", "pass", "millis")
+_COLUMNS = ("name", "anchor", "residual", "tolerance", "pass", "millis", "status", "error")
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
@@ -1084,8 +1088,9 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(_COLUMNS)
-        for name, anchor, residual, tol, passed, millis in map(astuple, report.checks):
-            writer.writerow([name, anchor, repr(residual), repr(tol), passed, f"{millis:.3f}"])
+        for c in report.checks:
+            writer.writerow([c.name, c.anchor, repr(c.residual), repr(c.tolerance), c.passed,
+                             f"{c.millis:.3f}", c.status, c.error])
         return buf.getvalue()
     if fmt == "text":
         lines = [
@@ -1094,15 +1099,16 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         ]
         width = max((len(c.name) for c in report.checks), default=10)
         for c in report.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"{c.name:<{width}}  {status}  residual={c.residual:11.4e}  "
+            line = (
+                f"{c.name:<{width}}  {c.status}  residual={c.residual:11.4e}  "
                 f"tol={c.tolerance:9.2e}  {c.millis:9.1f} ms"
             )
-        failed = sum(1 for c in report.checks if not c.passed)
+            lines.append(f"{line}  {c.error}" if c.error else line)
+        failed = sum(c.status == "FAIL" for c in report.checks)
+        errors = sum(c.status == "error" for c in report.checks)
         lines.append(
-            f"{len(report.checks)} checks, {failed} failed"
-            if failed
+            f"{len(report.checks)} checks, {failed} failed, {errors} raised an error"
+            if failed or errors
             else f"{len(report.checks)} checks, all passed"
         )
         return "\n".join(lines) + "\n"

@@ -17,6 +17,8 @@ import numpy as np
 
 from . import formscalc as fc
 from . import loopspace as lp
+from .connections import LGConnectionData, LGxS1ConnectionData
+from .liecore import exponential
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -40,8 +42,6 @@ def _random_algebras(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def random_group(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    from .liecore import exponential
-
     return exponential(random_algebra(rng, n, scale))
 
 
@@ -139,8 +139,6 @@ def random_higgs_field(rng: np.random.Generator, dim: int, N: int, n: int) -> fc
 def random_lg_connection(
     rng: np.random.Generator, dim: int, N: int, n: int, fd_step: float = 1e-4
 ):
-    from .connections import LGConnectionData
-
     A = random_loop_one_form(rng, dim, N, n)
     phi = random_higgs_field(rng, dim, N, n)
     return LGConnectionData(A=A, phi=phi, dim=dim, N=N, n=n, fd_step=fd_step)
@@ -149,8 +147,6 @@ def random_lg_connection(
 def random_lgxs1_connection(
     rng: np.random.Generator, dim: int, N: int, n: int, fd_step: float = 1e-4
 ):
-    from .connections import LGxS1ConnectionData
-
     A = random_loop_one_form(rng, dim, N, n)
     a = random_real_one_form(rng, dim)
     phi = random_higgs_field(rng, dim, N, n)

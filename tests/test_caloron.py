@@ -68,6 +68,12 @@ class TestAssembly:
         u = 0.2 * RNG.standard_normal(f1.chart.group_dim)
         assert np.max(np.abs(f1.coeffs(x, u) - f2.coeffs(x, u))) < 1e-13
 
+    def test_ad_inverse_matches_lapack_inverse(self):
+        g = sampling.random_group(RNG, 3)
+        loops = sampling.bandlimited_algebra_loop(RNG, N, 3)
+        want = np.linalg.inv(g) @ loops @ g
+        assert np.max(np.abs(caloron._ad_inv(g, loops) - want)) < 1e-14
+
 
 class TestTransport:
     def test_random_data(self):

@@ -134,6 +134,16 @@ class TestExponential:
         assert is_group_element(g, tol=1e-11)
 
 
+class TestLogarithm:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inverts_exponential_on_random_group(self, n):
+        for _ in range(20):
+            g = sampling.random_group(RNG, n)
+            L = liecore.logarithm(g)
+            assert np.array_equal(L.conj().T, -L)
+            assert np.max(np.abs(exponential(L) - g)) < 1e-13
+
+
 class TestInvariantPolynomial:
     def test_p1_normalization(self):
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))

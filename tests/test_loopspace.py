@@ -13,6 +13,7 @@ from loopforms.loopspace import (
     grid,
     loop_derivative,
     loop_inverse,
+    resample,
     rotate,
     semidirect_adjoint,
     semidirect_adjoint_inverse,
@@ -111,6 +112,48 @@ class TestRotate:
         assert energy(rotate(phi, xi), rotate(phi, zeta)) == pytest.approx(
             energy(xi, zeta), abs=1e-10
         )
+
+
+def _phase_rotation(phi, s):
+    """s(theta - phi) as a phase on the spectrum, the Nyquist bin scaled by
+    cos(N phi / 2): the reference for off-grid rotation."""
+    N = s.shape[0]
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    phase = np.exp(-1j * k * phi)
+    phase[N // 2] = np.cos(0.5 * N * phi)
+    phase = phase.reshape((N,) + (1,) * (s.ndim - 1))
+    out = np.fft.ifft(phase * np.fft.fft(s, axis=0), axis=0)
+    return out.real if np.isrealobj(s) else out
+
+
+class TestResample:
+    @pytest.mark.parametrize("M", [32, 128])
+    @pytest.mark.parametrize("shift", [0.0, 0.0137, -0.4])
+    def test_band_limited_loop_at_offset_nodes(self, M, shift):
+        # every mode of a 32-sample grid, the Nyquist mode as its cosine
+        N = 32
+        modes = [(k, sampling.random_algebra(RNG, 2), sampling.random_algebra(RNG, 2))
+                 for k in range(N // 2)]
+        nyquist = sampling.random_algebra(RNG, 2)
+
+        def loop(t):
+            out = np.cos(N / 2 * t)[:, None, None] * nyquist
+            for k, c, s in modes:
+                out = out + np.cos(k * t)[:, None, None] * c + np.sin(k * t)[:, None, None] * s
+            return out
+
+        got = resample(loop(grid(N)), M, shift)
+        assert np.max(np.abs(got - loop(grid(M) + shift))) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.3, -1.234, 2.5 * 2 * np.pi / N])
+    def test_off_grid_rotation_matches_phase_formula(self, phi):
+        # unfiltered samples, so the Nyquist bin carries weight
+        loop = RNG.standard_normal((N, 2, 2)) + 1j * RNG.standard_normal((N, 2, 2))
+        scalar = RNG.standard_normal(N)
+        for s in (loop, scalar):
+            err = np.max(np.abs(resample(s, N, -phi) - _phase_rotation(phi, s)))
+            assert err < 1e-15 * np.max(np.abs(s))
+            assert np.array_equal(rotate(phi, s), resample(s, N, -phi))
 
 
 class TestZMap:

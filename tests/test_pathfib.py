@@ -224,26 +224,6 @@ class TestHolonomy:
         assert np.array_equal(endpoint, want[n_samples])
 
 
-class TestSpectralUpsample:
-    @pytest.mark.parametrize("M", [32, 128])
-    @pytest.mark.parametrize("shift", [0.0, 0.0137, -0.4])
-    def test_band_limited_loop_at_offset_nodes(self, M, shift):
-        # every mode of a 32-sample grid, the Nyquist mode as its cosine
-        N = 32
-        modes = [(k, sampling.random_algebra(RNG, 2), sampling.random_algebra(RNG, 2))
-                 for k in range(N // 2)]
-        nyquist = sampling.random_algebra(RNG, 2)
-
-        def loop(t):
-            out = np.cos(N / 2 * t)[:, None, None] * nyquist
-            for k, c, s in modes:
-                out = out + np.cos(k * t)[:, None, None] * c + np.sin(k * t)[:, None, None] * s
-            return out
-
-        got = pf._spectral_upsample(loop(lp.grid(N)), M, shift)
-        assert np.max(np.abs(got - loop(lp.grid(M) + shift))) < 1e-12
-
-
 def _brute_antisym(contractions, degrees, frame):
     """(1/Q!) sum over all Q! permutations, with the sign of each."""
     Q = sum(degrees)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,23 @@ class TestRegistry:
         ]
         assert registry == golden
 
+    def test_raising_check_is_an_error_and_the_run_goes_on(self, monkeypatch):
+        def raises(cfg, rng):
+            raise ZeroDivisionError("planted")
+
+        planted = rp.Check("lie.raises", "lie", "x/y", 1.0, raises)
+        lie = rp.checks_for("lie")
+        monkeypatch.setattr(rp, "_REGISTRY", rp._REGISTRY + [planted])
+        report = rp.run_suite(rp.RunConfig(suite="lie", seed=99))
+        by_name = {c.name: c for c in report.checks}
+        assert set(by_name) == {c.name for c in lie} | {"lie.raises"}
+        rec = by_name.pop("lie.raises")
+        assert (rec.status, rec.error, rec.passed) == ("error", "ZeroDivisionError", False)
+        assert math.isnan(rec.residual)
+        assert all(c.status == "pass" and c.error == "" for c in by_name.values())
+        text = rp.emit_report(report, "text")
+        assert "ZeroDivisionError" in text and "1 raised an error" in text
+
     def test_nan_trial_fails_the_check(self, monkeypatch):
         trials = iter([1e-20, math.nan, 1e-20])
 
@@ -154,6 +172,8 @@ class TestEmit:
                 "tolerance",
                 "pass",
                 "millis",
+                "status",
+                "error",
             }
 
     def test_json_roundtrip_preserves_fields(self, lie_report):
@@ -172,7 +192,9 @@ class TestEmit:
     def test_csv_header_and_rows(self, lie_report):
         text = rp.emit_report(lie_report, "csv")
         rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["name", "anchor", "residual", "tolerance", "pass", "millis"]
+        assert rows[0] == [
+            "name", "anchor", "residual", "tolerance", "pass", "millis", "status", "error"
+        ]
         assert len(rows) == len(lie_report.checks) + 1
 
     def test_single_check_csv_two_lines(self):
@@ -181,7 +203,7 @@ class TestEmit:
             seed=1,
             config={},
             checks=(
-                rp.CheckRecord("a.b", "x/y", 0.0, 1.0, True, 0.1),
+                rp.CheckRecord("a.b", "x/y", 0.0, 1.0, True, 0.1, "pass", ""),
             ),
         )
         text = rp.emit_report(single, "csv").strip()
@@ -247,6 +269,26 @@ class TestCLI:
              "--out", str(tmp_path / "r.txt")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("override", [{}, {"lie.bracket.jacobi": 0.0}],
+                             ids=["only-error", "error-and-fail"])
+    def test_raising_check_exit_three(self, override, monkeypatch, tmp_path):
+        def raises(cfg, rng):
+            raise RuntimeError("planted")
+
+        planted = rp.Check("lie.raises", "lie", "x/y", 1.0, raises)
+        monkeypatch.setattr(rp, "_REGISTRY", rp._REGISTRY + [planted])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tolerance_overrides": override}))
+        out = tmp_path / "r.json"
+        code = cli_main(["verify", "--suite", "lie", "--seed", "99", "--config", str(cfgfile),
+                         "--format", "json", "--out", str(out)])
+        assert code == 3
+        records = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert len(records) == len(rp.checks_for("lie"))
+        assert (records["lie.raises"]["status"], records["lie.raises"]["error"]) == (
+            "error", "RuntimeError")
+        assert [n for n, c in records.items() if c["status"] == "FAIL"] == list(override)
 
     def test_config_error_exit_two(self):
         code = cli_main(["verify", "--samples", "2"])
@@ -352,7 +394,7 @@ class TestCLI:
         proc = run_cli("verify", "--suite", "lie", "--format", "csv")
         assert proc.returncode == 0
         first = proc.stdout.splitlines()[0]
-        assert first == "name,anchor,residual,tolerance,pass,millis"
+        assert first == "name,anchor,residual,tolerance,pass,millis,status,error"
 
 
 class TestThreadPin:
@@ -393,6 +435,16 @@ class TestDiffReports:
         payload = json.loads(rp.emit_report(lie_report, "json"))
         proc = self.run_diff(tmp_path, payload, payload)
         assert proc.returncode == 0
+
+    def test_headroom_min_and_median_printed(self, tmp_path, lie_report):
+        # log10(tol / residual), a residual below tol * 1e-16 read as 16 decades
+        payload = json.loads(rp.emit_report(lie_report, "json"))
+        dec = [math.log10(c["tolerance"] / max(c["residual"], c["tolerance"] * 1e-16))
+               for c in payload["checks"] if c["tolerance"] > 0]
+        proc = self.run_diff(tmp_path, payload, payload)
+        want = f"min {min(dec):.4f} dec, median {statistics.median(dec):.4f} dec"
+        assert f"headroom before: {want}" in proc.stdout
+        assert f"headroom after: {want}" in proc.stdout
 
     def test_every_kind_of_difference_is_listed(self, tmp_path, lie_report):
         before = json.loads(rp.emit_report(lie_report, "json"))
