@@ -81,10 +81,6 @@ class GConnectionField:
     # coeffs(x, u) -> array (total_dim, N, n, n)
 
 
-def _ad_inv(g: np.ndarray, loops: np.ndarray) -> np.ndarray:
-    return lp.loop_inverse(g) @ loops @ g
-
-
 def to_g_connection(
     c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedChart | None = None
 ) -> GConnectionField:
@@ -105,8 +101,8 @@ def to_g_connection(
             Ai = c.A.coeff(x, (i,))
             if twisted:
                 Ai = Ai + c.a.coeff(x, (i,)) * phi
-            out[i] = _ad_inv(g, Ai)
-        out[chart.theta_index] = _ad_inv(g, phi)
+            out[i] = lp.adjoint_inverse(g, Ai)
+        out[chart.theta_index] = lp.adjoint_inverse(g, phi)
         mc = chart.maurer_cartan(u)
         for a in range(chart.group_dim):
             out[chart.base_dim + 1 + a] = np.broadcast_to(mc[a], (c.N, c.n, c.n))
@@ -191,8 +187,8 @@ def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedC
     out = {}
     for i in range(c.dim):
         for j in range(i + 1, c.dim):
-            out[(i, j)] = _ad_inv(g, cyl.beta.coeff(x, (i, j)))
-        out[(i, ti)] = _ad_inv(g, cyl.gamma.coeff(x, (i,)))
+            out[(i, j)] = lp.adjoint_inverse(g, cyl.beta.coeff(x, (i, j)))
+        out[(i, ti)] = lp.adjoint_inverse(g, cyl.gamma.coeff(x, (i,)))
     return out
 
 

@@ -138,10 +138,9 @@ def independence_homotopy_form(
 
     Built on the circle-extended chart from the difference 1-form
     alpha + (Phi_1 - Phi_0) dtheta and the interpolated curvatures,
-    integrated in t by Simpson's rule on 16 steps, then fiber-integrated
-    back.
+    integrated in t, then fiber-integrated back.  The t-integrand has
+    degree 2(k - 1) in t, so k Gauss-Legendre nodes on [0, 1] are exact.
     """
-    t_steps = 16
     if (c0.dim, c0.N, c0.n) != (c1.dim, c1.N, c1.n):
         raise ValueError("connection data live on different discretizations")
     if f.degree != k:
@@ -151,10 +150,8 @@ def independence_homotopy_form(
     varphi = fc.form_sum([c1.phi, c0.phi], [1.0, -1.0])
     diff_cyl = fc.CylinderForm(beta=alpha, gamma=varphi)
 
-    ts = np.linspace(0.0, 1.0, t_steps + 1)
-    w = np.ones(t_steps + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (1.0 / t_steps) / 3.0
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    ts, w = 0.5 * (nodes + 1.0), 0.5 * weights
 
     terms = []
     for t in ts:

@@ -31,7 +31,6 @@ import numpy as np
 from .liecore import killing
 from .loopspace import central, circle_integral
 
-PULLBACK_STEP = 1e-5  # step of pullback's finite-difference Jacobian
 # Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
 STENCIL_POINTS = 16
 
@@ -314,26 +313,15 @@ def pullback(
     form: FormField,
     mapping: Callable[[np.ndarray], np.ndarray],
     source_dim: int,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    jacobian: Callable[[np.ndarray], np.ndarray],
 ) -> FormField:
-    """Pullback along a chart map, with supplied or finite-difference Jacobian."""
-
-    def jac(u):
-        if jacobian is not None:
-            return np.asarray(jacobian(u), dtype=float)
-        cols = []
-        for j in range(source_dim):
-            e = np.zeros(source_dim)
-            e[j] = PULLBACK_STEP
-            hi, lo = (np.asarray(mapping(x)) for x in (u + e, u - e))
-            cols.append(central(hi, lo, PULLBACK_STEP))
-        return np.stack(cols, axis=1)
+    """Pullback along a chart map with its Jacobian (target_dim, source_dim)."""
 
     def coeff(u, idx):
         x = np.asarray(mapping(u), dtype=float)
         if x.shape[0] != form.dim:
             raise ChartMismatch("mapping target does not match form chart")
-        return _minor_sum(form, x, jac(u)[:, idx].T)
+        return _minor_sum(form, x, np.asarray(jacobian(u), dtype=float)[:, idx].T)
 
     return FormField(form.degree, source_dim, coeff)
 

@@ -9,6 +9,7 @@ so they are exact for band-limited data (all frequencies below N/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,9 +25,12 @@ def _check_samples(N: int) -> None:
         raise ValueError(f"need an even number of samples >= 4, got {N}")
 
 
+@lru_cache(maxsize=16)  # a run uses a handful of grid sizes
 def _freqs(N: int) -> np.ndarray:
+    """Read-only FFT frequencies of an N-sample grid: every caller shares them."""
     k = np.fft.fftfreq(N, d=1.0 / N)
     k[N // 2] = 0.0  # Nyquist mode has no well-defined derivative
+    k.flags.writeable = False
     return k
 
 
@@ -84,6 +88,11 @@ def angle_delta(a2: float, a1: float) -> float:
 def loop_inverse(g: np.ndarray) -> np.ndarray:
     """Pointwise inverse of a unitary loop."""
     return g.conj().swapaxes(-1, -2)
+
+
+def adjoint_inverse(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Ad(g^{-1}) xi = g^{-1} xi g, pointwise, for a unitary g."""
+    return loop_inverse(g) @ xi @ g
 
 
 def z_map(g: np.ndarray) -> np.ndarray:

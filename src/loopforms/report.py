@@ -525,9 +525,12 @@ def _forms_pullback(cfg: RunConfig, rng) -> float:
     def mapping(u):
         return mats @ u + quad @ (u ** 2)
 
+    def jacobian(u):
+        return mats + 2.0 * quad * u
+
     h = 1e-4
-    lhs = fc.exterior_derivative(fc.pullback(omega, mapping, source), h)
-    rhs = fc.pullback(fc.exterior_derivative(omega, h), mapping, source)
+    lhs = fc.exterior_derivative(fc.pullback(omega, mapping, source, jacobian), h)
+    rhs = fc.pullback(fc.exterior_derivative(omega, h), mapping, source, jacobian)
     diff = fc.form_sum([lhs, rhs], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, source, 4)
     return fc.max_coeff(diff, pts)
@@ -645,7 +648,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
         if i >= dim:
             return zero
         gp = chart.group_point(p[dim:])
-        return (lp.loop_inverse(gp) @ nabla.coeff(p[:dim], idx) @ gp)[theta_idx]
+        return lp.adjoint_inverse(gp, nabla.coeff(p[:dim], idx))[theta_idx]
 
     psi = fc.FormField(1, dim + chart.group_dim, psi_coeff)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
@@ -855,10 +858,7 @@ def _pathfib_equivariance(cfg: RunConfig, rng) -> float:
     eta = _path_xi(cfg, rng, scale=0.5)
     eta = eta - eta[0]  # based loop generator
     hloop = lp.exp_loop(eta)
-    moved = (
-        lp.loop_inverse(hloop) @ xi @ hloop
-        + lp.loop_inverse(hloop) @ lp.loop_derivative(hloop)
-    )
+    moved = lp.adjoint_inverse(hloop, xi) + lp.loop_inverse(hloop) @ lp.loop_derivative(hloop)
     g1, _ = pathfib.higgs_holonomy(moved)
     g0, _ = pathfib.higgs_holonomy(xi)
     return float(np.max(np.abs(g1 - g0 @ hloop)))
@@ -939,7 +939,7 @@ def _ce_dalpha(cfg: RunConfig, rng, variant) -> float:
 def _ce_delta_alpha(cfg: RunConfig, rng, variant) -> float:
     def trial():
         pts, tans = _point_tangent(cfg, rng, variant, 3)
-        return centralext.verify_delta_alpha_zero(pts, tans, cfg.fd_step)
+        return centralext.verify_delta_alpha_zero(pts, tans)
 
     return _worst_over(20, trial)
 
@@ -956,11 +956,11 @@ def _ce_delta_sq(cfg: RunConfig, rng) -> float:
         )
         return float(val)
 
-    d1 = partial(centralext.simplicial_delta_eval, test_form, h=cfg.fd_step)
+    d1 = partial(centralext.simplicial_delta_eval, test_form)
 
     def trial():
         pts, tans = _point_tangent(cfg, rng, _LG, 4)
-        return abs(centralext.simplicial_delta_eval(d1, pts, tans, h=cfg.fd_step))
+        return abs(centralext.simplicial_delta_eval(d1, pts, tans))
 
     return _worst_over(5, trial)
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopforms import caloron, connections as cn, formscalc as fc, sampling
+from loopforms import caloron, connections as cn, formscalc as fc, loopspace as lp, sampling
 
 from helpers import zero_form
 
@@ -72,7 +72,7 @@ class TestAssembly:
         g = sampling.random_group(RNG, 3)
         loops = sampling.bandlimited_algebra_loop(RNG, N, 3)
         want = np.linalg.inv(g) @ loops @ g
-        assert np.max(np.abs(caloron._ad_inv(g, loops) - want)) < 1e-14
+        assert np.max(np.abs(lp.adjoint_inverse(g, loops) - want)) < 1e-14
 
 
 class TestTransport:

@@ -342,11 +342,8 @@ class TestStep:
     FD_CHECKS = [
         "centralext.dalpha_matches_deltaR.lg",
         "centralext.dalpha_matches_deltaR.lgxs1",
-        "centralext.delta_alpha_zero.lg",
-        "centralext.delta_alpha_zero.lgxs1",
         "centralext.delta_epsilon.lg",
         "centralext.delta_epsilon.lgxs1",
-        "centralext.delta_squared_zero",
         "centralext.descent.lg",
         "centralext.descent.lgxs1",
         "centralext.splitting_curving_matches_direct",
@@ -362,6 +359,26 @@ class TestStep:
         for name, r in residuals[1e-4].items():
             moved = r != residuals[1e-3][name]
             assert moved == (name in self.FD_CHECKS), name
+
+
+class TestExactPush:
+    # with exact pushes these identities sit at round-off (at most 6.7e-16
+    # over seeds 20090622, 1, 7 and 42); pushed by central differences
+    # they read 3.7e-14 to 2.8e-8 at the same seeds
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "centralext.delta_alpha_zero.lg",
+            "centralext.delta_alpha_zero.lgxs1",
+            "centralext.delta_squared_zero",
+        ],
+    )
+    def test_roundoff_at_default_seed(self, name):
+        from loopforms import report as rp
+
+        ((_, suite, _, _, fn),) = [e for e in rp.checks_for("all") if e[0] == name]
+        cfg = rp.RunConfig(suite=suite)
+        assert fn(cfg, rp.sampling.rng_for(cfg.seed, name)) <= 1e-14
 
 
 def _textbook_face(i, points):
@@ -397,6 +414,36 @@ def _push_all_slots(i, points, tangents, h):
     return base, total
 
 
+def _textbook_push(i, points, tangents):
+    """Push through face i written out: the merged pair (i-1, i) takes
+    Ad(g_i^{-1}) xi_{i-1} + xi_i, every other component its own tangent."""
+    m = len(points)
+    if i == 0:
+        return tangents[1:]
+    if i == m:
+        return tangents[:-1]
+    g, xi = points[i], tangents[i - 1]
+    if isinstance(g, lp.SemiDirectGroupElement):
+        merged = ce._add(lp.semidirect_adjoint_inverse(g, xi), tangents[i])
+    else:
+        merged = ce._add(lp.adjoint_inverse(g, xi), tangents[i])
+    return tangents[: i - 1] + (merged,) + tangents[i + 1 :]
+
+
+def _gap(xs, ys):
+    """Largest entry of the difference of two tuples of algebra values."""
+    def parts(x):
+        if isinstance(x, lp.SemiDirectAlgebraElement):
+            return [x.loop_part, np.array(x.circle_part)]
+        return [x]
+
+    return max(
+        float(np.max(np.abs(a - b)))
+        for x, y in zip(xs, ys)
+        for a, b in zip(parts(x), parts(y))
+    )
+
+
 def _same(x, y):
     if isinstance(x, lp.SemiDirectGroupElement):
         return np.array_equal(x.loop_part, y.loop_part) and x.angle == y.angle
@@ -424,18 +471,20 @@ class TestFacePush:
 
     @pytest.mark.parametrize("length", [2, 3, 4])
     def test_push_equals_all_slots_push_bitwise(self, draw, length):
+        # bitwise: the exact push against the textbook face's exact push.
+        # Against the brute-force difference of every slot the gap is the
+        # difference's c h^2 truncation, a quarter when h halves; c reaches
+        # about 8 on LG x| S1 merge faces (the flows rotate the later slots)
         pts, tans = draw(length)
-        flows = ce._slot_flows(pts, tans, ce.FD_STEP)
         for i, reach in enumerate(ce.nerve_faces(length)):
-            want_base, want = _push_all_slots(i, pts, tans, ce.FD_STEP)
-            base = ce.face_map(reach, pts)
-            got = ce._push_tangents(reach, pts, base, flows, ce.FD_STEP)
-            assert all(_same(a, b) for a, b in zip(base, want_base))
-            assert all(_same(a, b) for a, b in zip(got, want))
+            got = ce._push_tangents(reach, pts, tans)
+            assert all(_same(a, b) for a, b in zip(got, _textbook_push(i, pts, tans)))
+            gap = {h: _gap(got, _push_all_slots(i, pts, tans, h)[1]) for h in (1e-3, 5e-4, 1e-4)}
+            assert gap[1e-4] <= 1e-6
+            assert 3.9 <= gap[1e-3] / gap[5e-4] <= 4.1
 
-    def test_two_flows_per_slot(self, draw, monkeypatch):
-        # per tangent set: a triple point's 1-form takes 3 slots x 2 signs,
-        # a pair point's 2-form 2 x 2 for each of its two sets
+    def test_no_flows(self, draw, monkeypatch):
+        # the pushes are exact: no exponential curve is taken
         calls = []
         exp_loop = lp.exp_loop
 
@@ -448,7 +497,5 @@ class TestFacePush:
         _, ty = draw(2)
         monkeypatch.setattr(lp, "exp_loop", counted)
         ce.simplicial_delta_eval(ce.alpha_form, pts, tans)
-        assert len(calls) == 6
-        calls.clear()
         ce.simplicial_delta_eval(ce._r_eval, pair, tx, ty)
-        assert len(calls) == 8
+        assert calls == []

@@ -264,21 +264,20 @@ class TestPullback:
         dim = 3
         polys = [sampling.random_poly(RNG, dim) for _ in range(dim)]
         form = fc.FormField(1, dim, lambda p, idx: polys[idx[0]](p))
-        exact = fc.pullback(form, lambda u: u, dim, jacobian=lambda u: np.eye(dim))
-        fd = fc.pullback(form, lambda u: u, dim)
+        pulled = fc.pullback(form, lambda u: u, dim, lambda u: np.eye(dim))
         p = RNG.standard_normal(dim)
         for i in range(dim):
-            want = form.coeff(p, (i,))
-            assert exact.coeff(p, (i,)) == pytest.approx(want, abs=1e-14)
-            assert fd.coeff(p, (i,)) == pytest.approx(want, abs=1e-8)
+            assert pulled.coeff(p, (i,)) == pytest.approx(form.coeff(p, (i,)), abs=1e-14)
 
     def test_parabola(self):
         # pull dx0 back along u -> (u^2, u): get 2u du
         form = dx(0, 2)
-        pulled = fc.pullback(form, lambda u: np.array([u[0] ** 2, u[0]]), 1)
+        pulled = fc.pullback(
+            form, lambda u: np.array([u[0] ** 2, u[0]]), 1, lambda u: np.array([[2 * u[0]], [1.0]])
+        )
         for u0 in (0.3, -0.8):
             got = pulled.coeff(np.array([u0]), (0,))
-            assert got == pytest.approx(2 * u0, abs=1e-9)
+            assert got == pytest.approx(2 * u0, abs=1e-15)
 
     def test_commutes_with_d(self):
         target, source = 3, 2
@@ -289,9 +288,12 @@ class TestPullback:
         def mapping(u):
             return mat @ u + 0.2 * np.concatenate([u ** 2, [u[0] * u[1]]])
 
+        def jacobian(u):
+            return mat + 0.2 * np.array([[2 * u[0], 0.0], [0.0, 2 * u[1]], [u[1], u[0]]])
+
         h = 1e-4
-        lhs = fc.exterior_derivative(fc.pullback(form, mapping, source), h)
-        rhs = fc.pullback(fc.exterior_derivative(form, h), mapping, source)
+        lhs = fc.exterior_derivative(fc.pullback(form, mapping, source, jacobian), h)
+        rhs = fc.pullback(fc.exterior_derivative(form, h), mapping, source, jacobian)
         diff = fc.form_sum([lhs, rhs], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.4 * RNG.standard_normal(source)]) < 1e-6
 
