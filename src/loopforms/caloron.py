@@ -171,7 +171,7 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
     for I in range(D):
         for J in range(I + 1, D):
             dA = partials[I][J] - partials[J][I]
-            br = center[I] @ center[J] - center[J] @ center[I]
+            br = lp.loop_product(center[I], center[J]) - lp.loop_product(center[J], center[I])
             comps[(I, J)] = dA + br
     return comps
 

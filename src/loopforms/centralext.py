@@ -79,7 +79,7 @@ def _flow(point, tangent, t: float):
             lp.exp_loop(t * tangent.loop_part), t * tangent.circle_part
         )
         return lp.semidirect_multiply(point, step)
-    return point @ lp.exp_loop(t * tangent)
+    return lp.loop_product(point, lp.exp_loop(t * tangent))
 
 
 def _flow_tuple(points, tangents, t):
@@ -110,7 +110,7 @@ def nerve_faces(length: int):
 def _product(values):
     out = values[0]
     for g in values[1:]:
-        out = lp.semidirect_multiply(out, g) if _is_semidirect(out) else out @ g
+        out = lp.semidirect_multiply(out, g) if _is_semidirect(out) else lp.loop_product(out, g)
     return out
 
 
@@ -171,7 +171,9 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
             lp.semidirect_bracket(x, y) for x, y in zip(tans_x, tans_y)
         )
     else:
-        bracket = tuple(x @ y - y @ x for x, y in zip(tans_x, tans_y))
+        bracket = tuple(
+            lp.loop_product(x, y) - lp.loop_product(y, x) for x, y in zip(tans_x, tans_y)
+        )
     return 0.5 * (
         directional(tans_x, tans_y)
         - directional(tans_y, tans_x)
@@ -280,8 +282,8 @@ def reduced_splitting_transformation_residual(
     """|ell(p, xi) - ell(pg, ad(g^{-1}) xi) - sigma(g^{-1}, xi)|."""
     lhs = reduced_splitting(phi_value, a)
     gamma, ang = g.loop_part, g.angle
-    ginv = lp.loop_inverse(gamma)
-    phi_moved = lp.rotate(-ang, ginv @ phi_value @ gamma + ginv @ lp.loop_derivative(gamma))
+    drift = lp.loop_product(lp.loop_inverse(gamma), lp.loop_derivative(gamma))
+    phi_moved = lp.rotate(-ang, lp.adjoint_inverse(gamma, phi_value) + drift)
     a_moved = lp.semidirect_adjoint_inverse(g, a)
     rhs = reduced_splitting(phi_moved, a_moved) + group_cocycle_sigma(g, a)
     return abs(lhs - rhs)

@@ -184,12 +184,14 @@ def gauge_transform(c, sigma):
         def A_coeff(p, idx):
             g = sigma(p)
             ginv = lp.loop_inverse(g)
-            return ginv @ c.A.coeff(p, idx) @ g + ginv @ dsigma.coeff(p, idx)
+            return lp.adjoint_inverse(g, c.A.coeff(p, idx)) + lp.loop_product(
+                ginv, dsigma.coeff(p, idx)
+            )
 
         def phi(p, idx):
             g = sigma(p)
             ginv = lp.loop_inverse(g)
-            return ginv @ c.phi(p) @ g + ginv @ lp.loop_derivative(g)
+            return lp.adjoint_inverse(g, c.phi(p)) + lp.loop_product(ginv, lp.loop_derivative(g))
 
         return replace(
             c, A=fc.FormField(1, c.dim, A_coeff), phi=fc.FormField(0, c.dim, phi)
@@ -203,9 +205,9 @@ def gauge_transform(c, sigma):
             ginv = lp.loop_inverse(g)
             ai = c.a.coeff(p, idx)
             inner = (
-                ginv @ c.A.coeff(p, idx) @ g
-                - fc._scalar_times(ai, ginv @ lp.loop_derivative(g))
-                + ginv @ dsigma.coeff(p, idx).loop_part
+                lp.adjoint_inverse(g, c.A.coeff(p, idx))
+                - fc._scalar_times(ai, lp.loop_product(ginv, lp.loop_derivative(g)))
+                + lp.loop_product(ginv, dsigma.coeff(p, idx).loop_part)
             )
             return lp.rotate(-ang, inner)
 
@@ -216,7 +218,8 @@ def gauge_transform(c, sigma):
             s = sigma(p)
             g, ang = s.loop_part, s.angle
             ginv = lp.loop_inverse(g)
-            return lp.rotate(-ang, ginv @ c.phi(p) @ g + ginv @ lp.loop_derivative(g))
+            moved = lp.adjoint_inverse(g, c.phi(p)) + lp.loop_product(ginv, lp.loop_derivative(g))
+            return lp.rotate(-ang, moved)
 
         return replace(
             c,

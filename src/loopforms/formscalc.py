@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .liecore import killing
-from .loopspace import central, circle_integral
+from .loopspace import central, circle_integral, loop_product
 
 # Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
 STENCIL_POINTS = 16
@@ -188,7 +188,7 @@ def _scalar_times(s, X):
 
 def wedge_bracket(A: FormField, B: FormField) -> FormField:
     """Graded bracket [A, B]; for 1-forms [A, A]_{ij} = 2 [A_i, A_j]."""
-    return poly_wedge([A, B], lambda v: v[0] @ v[1] - v[1] @ v[0])
+    return poly_wedge([A, B], lambda v: loop_product(v[0], v[1]) - loop_product(v[1], v[0]))
 
 
 def wedge_pair(A: FormField, B: FormField) -> FormField:

@@ -21,6 +21,8 @@ from math import factorial, pi
 import numpy as np
 from scipy.linalg import expm as _expm, logm as _logm
 
+from .loopspace import loop_product
+
 
 class DimensionMismatch(ValueError):
     """Operands belong to different su(n)."""
@@ -139,7 +141,7 @@ def eval_invariant_polynomial(f: InvariantPolynomial, args) -> float | np.ndarra
         for perm in permutations(args[1:]):
             prod = args[0]
             for x in perm[:-1]:
-                prod = prod @ x
+                prod = loop_product(prod, x)
             acc = acc + np.einsum("...ij,...ji->...", prod, perm[-1])
     out = np.real((1j ** k) * acc) * (f.scale / factorial(k - 1))
     if np.ndim(out) == 0:

@@ -53,7 +53,7 @@ class PathTangent:
 
 def tangent_from_based_loop(p: PathPoint, xi: np.ndarray) -> PathTangent:
     """Fundamental vector field of a based algebra loop (xi(0) = 0)."""
-    r = p.samples @ xi @ lp.loop_inverse(p.samples)
+    r = lp.loop_product(lp.loop_product(p.samples, xi), lp.loop_inverse(p.samples))
     end = np.zeros_like(p.endpoint)
     return PathTangent(r, end)
 
@@ -116,19 +116,17 @@ def alternate_cutoff(N: int) -> CutoffFunction:
 
 def pf_connection(p: PathPoint, X: PathTangent, alpha: CutoffFunction) -> np.ndarray:
     """A(X) = Ad(p^{-1})(r - alpha(theta) r(2 pi))."""
-    pinv = lp.loop_inverse(p.samples)
     inner = X.right_field - alpha.values[:, None, None] * X.endpoint
-    return pinv @ inner @ p.samples
+    return lp.adjoint_inverse(p.samples, inner)
 
 
 def pf_curvature(
     p: PathPoint, V: np.ndarray, W: np.ndarray, alpha: CutoffFunction
 ) -> np.ndarray:
     """F(X, Y) = (1/2)(alpha^2 - alpha) Ad(p^{-1})[V, W] on endpoint data."""
-    pinv = lp.loop_inverse(p.samples)
     comm = V @ W - W @ V
     weight = 0.5 * (alpha.values ** 2 - alpha.values)
-    return weight[:, None, None] * (pinv @ comm @ p.samples)
+    return weight[:, None, None] * lp.adjoint_inverse(p.samples, comm)
 
 
 def pf_higgs(p: PathPoint) -> np.ndarray:
@@ -142,16 +140,14 @@ def pf_higgs(p: PathPoint) -> np.ndarray:
     L = logarithm(p.endpoint)
     theta = lp.grid(N)
     ramp = lp.exp_loop(np.einsum("j,kl->jkl", -theta / (2.0 * pi), L))
-    v = ramp @ p.samples
-    vinv = lp.loop_inverse(v)
+    v = lp.loop_product(ramp, p.samples)
     dv = lp.loop_derivative(v)
-    return vinv @ (L / (2.0 * pi)) @ v + vinv @ dv
+    return lp.adjoint_inverse(v, L / (2.0 * pi)) + lp.loop_product(lp.loop_inverse(v), dv)
 
 
 def pf_nabla_phi(p: PathPoint, V: np.ndarray, alpha: CutoffFunction) -> np.ndarray:
     """nabla Phi contracted on endpoint data: alpha'(theta) Ad(p^{-1}) V."""
-    pinv = lp.loop_inverse(p.samples)
-    return alpha.derivative[:, None, None] * (pinv @ V @ p.samples)
+    return alpha.derivative[:, None, None] * lp.adjoint_inverse(p.samples, V)
 
 
 def _antisym_eval(contractions, degrees, frame):
@@ -248,7 +244,7 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     MAGNUS_REFINE steps of each sample's block as a balanced tree,
     ((e0 e1)(e2 e3))((e4 e5)(e6 e7)), batched over the N blocks, then a
     Hillis-Steele inclusive prefix product of the N block totals: 7N +
-    sum_r (N - 2^r) matmuls instead of sum_r (M - 2^r) for a scan over
+    sum_r (N - 2^r) loop products instead of sum_r (M - 2^r) for a scan over
     all M steps, whose values at the sample steps are the same products
     in the same order, bit for bit.  The samples and the endpoint are
     polar-projected once, so they are unitary to round-off
@@ -260,14 +256,18 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = 2.0 * pi / M
     a1 = lp.resample(xi, M, (0.5 - sqrt(3.0) / 6.0) * h)
     a2 = lp.resample(xi, M, (0.5 + sqrt(3.0) / 6.0) * h)
-    omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * (a1 @ a2 - a2 @ a1)
+    omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * (
+        lp.loop_product(a1, a2) - lp.loop_product(a2, a1)
+    )
+    del a1, a2  # M-step arrays: let them go before the exponentials' peak
     block = lp.exp_loop(omega).reshape((N, MAGNUS_REFINE) + xi.shape[1:])
     while block.shape[1] > 1:  # pairwise products inside each block
-        block = block[:, 0::2] @ block[:, 1::2]
+        block = lp.loop_product(block[:, 0::2], block[:, 1::2])
     prefix = block[:, 0]
     shift = 1
     while shift < N:  # prefix[j] = block_0 ... block_j
-        prefix = np.concatenate((prefix[:shift], prefix[:-shift] @ prefix[shift:]))
+        tail = lp.loop_product(prefix[:-shift], prefix[shift:])
+        prefix = np.concatenate((prefix[:shift], tail))
         shift *= 2
     eye = np.eye(xi.shape[1], dtype=complex)[None]
     g = lp.project_unitary(np.concatenate((eye, prefix)))

@@ -390,7 +390,10 @@ def _textbook_face(i, points):
     if i == m:
         return points[:-1]
     a, b = points[i - 1], points[i]
-    merged = lp.semidirect_multiply(a, b) if isinstance(a, lp.SemiDirectGroupElement) else a @ b
+    if isinstance(a, lp.SemiDirectGroupElement):
+        merged = lp.semidirect_multiply(a, b)
+    else:
+        merged = lp.loop_product(a, b)
     return points[: i - 1] + (merged,) + points[i + 1 :]
 
 

@@ -204,7 +204,8 @@ class TestWedge:
         ph = phi(p)
         for i in range(dim):
             Ai = A.coeff(p, (i,))
-            assert np.array_equal(bracket.coeff(p, (i,)), Ai @ ph - ph @ Ai)
+            want = lp.loop_product(Ai, ph) - lp.loop_product(ph, Ai)
+            assert np.array_equal(bracket.coeff(p, (i,)), want)
             assert np.array_equal(twist.coeff(p, (i,)), a.coeff(p, (i,)) * lp.loop_derivative(ph))
         for ij in combinations(range(dim), 2):
             assert np.array_equal(f_phi.coeff(p, ij), f.coeff(p, ij) * ph)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from loopforms import sampling
 from loopforms.loopspace import (
+    LOOP_PRODUCT_MAX_N,
     SemiDirectAlgebraElement,
     SemiDirectGroupElement,
     central,
@@ -13,6 +14,7 @@ from loopforms.loopspace import (
     grid,
     loop_derivative,
     loop_inverse,
+    loop_product,
     resample,
     rotate,
     semidirect_adjoint,
@@ -156,6 +158,64 @@ class TestResample:
             assert np.array_equal(rotate(phi, s), resample(s, N, -phi))
 
 
+class TestLoopProduct:
+    # Error model: each entry is an n-term complex dot product, so each
+    # side is off by at most about n eps times (|a| |b|) in that entry;
+    # 4 n eps bounds the gap between the two.
+    SHAPES = [
+        ((N, "n", "n"), (N, "n", "n")),
+        ((N, "n", "n"), ("n", "n")),
+        (("n", "n"), (N, "n", "n")),
+        ((3, N, "n", "n"), (N, "n", "n")),
+    ]
+
+    @staticmethod
+    def _draw(rng, shape, n):
+        shape = tuple(n if d == "n" else d for d in shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_matches_matmul(self, n, shapes):
+        rng = np.random.default_rng(n)
+        a, b = (self._draw(rng, shape, n) for shape in shapes)
+        got, want = loop_product(a, b), np.matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        scale = np.matmul(np.abs(a), np.abs(b))
+        assert np.max(np.abs(got - want) / scale) <= 4 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_wide_matrices_take_matmul_bitwise(self, n):
+        assert n > LOOP_PRODUCT_MAX_N
+        rng = np.random.default_rng(n)
+        for shapes in self.SHAPES:
+            a, b = (self._draw(rng, shape, n) for shape in shapes)
+            assert np.array_equal(loop_product(a, b), a @ b)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_product_independent_of_stack_position(self, n):
+        # the bitwise claims of the blocked holonomy scan rest on this
+        rng = np.random.default_rng(n)
+        a, b = self._draw(rng, (N, n, n), n), self._draw(rng, (N, n, n), n)
+        full = loop_product(a, b)
+        for k in (0, 1, N // 2, N - 1):
+            assert np.array_equal(full[k], loop_product(a[k : k + 1], b[k : k + 1])[0])
+            assert np.array_equal(full[k::7], loop_product(a[k::7], b[k::7]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_read_only_inputs_untouched_and_not_aliased(self, n):
+        # memoized form coefficients come back as read-only views
+        rng = np.random.default_rng(n)
+        for shapes in self.SHAPES:
+            a, b = (self._draw(rng, shape, n) for shape in shapes)
+            saved = a.copy(), b.copy()
+            a.flags.writeable = b.flags.writeable = False
+            out = loop_product(a, b)
+            assert np.array_equal(a, saved[0]) and np.array_equal(b, saved[1])
+            assert out.flags.writeable
+            assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+
+
 class TestZMap:
     def test_constant_loop(self):
         g = np.broadcast_to(sampling.random_group(RNG, 2), (N, 2, 2)).copy()
@@ -273,7 +333,7 @@ class TestCentral:
     def test_left_translated_lg(self):
         b = sampling.bandlimited_group_loop(RNG, N, 2)
         p, m = (sampling.bandlimited_group_loop(RNG, N, 2) for _ in range(2))
-        want = loop_inverse(b) @ (p - m) / (2 * self.H)
+        want = loop_product(loop_inverse(b), p - m) / (2 * self.H)
         assert np.array_equal(central(p, m, self.H, base=b), want)
 
     @pytest.mark.parametrize("with_base", [False, True])

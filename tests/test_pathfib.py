@@ -215,7 +215,8 @@ class TestHolonomy:
         (prefix,) = steps
         shift = 1
         while shift < len(prefix):
-            prefix = np.concatenate((prefix[:shift], prefix[:-shift] @ prefix[shift:]))
+            tail = lp.loop_product(prefix[:-shift], prefix[shift:])
+            prefix = np.concatenate((prefix[:shift], tail))
             shift *= 2
         r = pf.MAGNUS_REFINE
         eye = np.eye(n, dtype=complex)[None]
