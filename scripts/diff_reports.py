@@ -3,8 +3,9 @@
 
     python scripts/diff_reports.py BEFORE.json AFTER.json
 
-Lists checks present in only one report, anchor and tolerance changes,
-and every residual that is not bitwise equal, with its change in decades
+Lists checks present in only one report, anchor, tolerance and error
+changes (``error`` is the exception type of a check that raised), and
+every residual that is not bitwise equal, with its change in decades
 (log10 of after / before).  Exits 0 when the reports agree on all of
 these, 1 otherwise.  Also prints each report's headroom, log10(tol /
 residual), as min and median over its checks by the benchmark's own
@@ -48,7 +49,7 @@ def diff(before: dict, after: dict) -> list[str]:
     lines += [f"added: {name}" for name in sorted(set(after) - set(before))]
     for name in sorted(set(before) & set(after)):
         b, a = before[name], after[name]
-        for key in ("anchor", "tolerance"):
+        for key in ("anchor", "tolerance", "error"):
             if b[key] != a[key]:
                 lines.append(f"{key} changed: {name}: {b[key]!r} -> {a[key]!r}")
         rb, ra = float(b["residual"]), float(a["residual"])

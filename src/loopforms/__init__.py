@@ -4,8 +4,8 @@ Modules
 -------
 liecore      su(n)/SU(n) matrix model, normalized invariant form, symmetrized
              trace polynomials
-loopspace    discretized loops, spectral circle calculus, LG x S1 semidirect
-             algebra
+loopspace    discretized loops, spectral circle calculus, one group interface
+             for LG and LG x S1
 formscalc    alternating forms on finite charts with the 1/q! evaluation
              convention
 connections  connection/Higgs data on trivialized charts, curvatures, string

@@ -171,8 +171,7 @@ def g_curvature_components(field: GConnectionField, x: np.ndarray, u: np.ndarray
     for I in range(D):
         for J in range(I + 1, D):
             dA = partials[I][J] - partials[J][I]
-            br = lp.loop_product(center[I], center[J]) - lp.loop_product(center[J], center[I])
-            comps[(I, J)] = dA + br
+            comps[(I, J)] = dA + lp.bracket(center[I], center[J])
     return comps
 
 
@@ -229,5 +228,4 @@ def pontrjagyn_fiber_integral(c: LGConnectionData | LGxS1ConnectionData) -> fc.F
         raise ValueError("need chart dimension >= 3")
     f = pontrjagyn_polynomial()
     cyl = string_cylinder(c)
-    p1 = fc.cyl_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))
-    return fc.fiber_integrate_s1(p1)
+    return fc.fiber_integrate_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))

@@ -7,14 +7,18 @@ and the string forms is 2 pi: d(curving) = 2 pi * (string form).
 Group points are either plain group loops (N, n, n) or
 SemiDirectGroupElement pairs; tangents are the matching algebra objects
 in the left-translated convention (the tangent at gamma is gamma xi).
-Tangents are pushed through the nerve face maps exactly, by the adjoint
-action; d alpha is the one derivative on the group taken by central
-differences along exponential curves, so it is an independent route
-against the exact delta R.
+Products, adjoint actions and brackets come from the one group interface
+of ``loopspace``, which takes either kind; only the formulas that differ
+between LG and LG x| S1 (R, alpha, epsilon, the direct curving's twist)
+and the exponential curves of ``_flow`` look at the type.  Tangents are pushed through the
+nerve face maps exactly, by the adjoint action; d alpha is the one
+derivative on the group taken by central differences along exponential
+curves, so it is an independent route against the exact delta R.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import pi
 from typing import Callable
 
@@ -33,10 +37,6 @@ from .liecore import killing
 
 FD_STEP = 1e-4
 BRIDGE_TO_STRING_FORM = 2.0 * pi
-
-
-def _is_semidirect(x) -> bool:
-    return isinstance(x, lp.SemiDirectGroupElement)
 
 
 def _pair_integral(x, y) -> float:
@@ -63,7 +63,7 @@ def alpha_form(point, tangents) -> float:
     LG x| S1 points with the -(1/2) mu Z correction of the rotated extension."""
     g2 = point[1]
     t1 = tangents[0]
-    if _is_semidirect(g2):
+    if isinstance(g2, lp.SemiDirectGroupElement):
         z2 = lp.z_map(g2.loop_part)
         probe = t1.loop_part - 0.5 * t1.circle_part * z2
         return _pair_integral(probe, z2)
@@ -74,24 +74,17 @@ def alpha_form(point, tangents) -> float:
 
 def _flow(point, tangent, t: float):
     """Left-translated exponential curve through a group point."""
-    if _is_semidirect(point):
+    if isinstance(point, lp.SemiDirectGroupElement):
         step = lp.SemiDirectGroupElement(
             lp.exp_loop(t * tangent.loop_part), t * tangent.circle_part
         )
-        return lp.semidirect_multiply(point, step)
-    return lp.loop_product(point, lp.exp_loop(t * tangent))
+    else:
+        step = lp.exp_loop(t * tangent)
+    return lp.multiply(point, step)
 
 
 def _flow_tuple(points, tangents, t):
     return tuple(_flow(p, tan, t) for p, tan in zip(points, tangents))
-
-
-def _add(x, y):
-    if isinstance(x, lp.SemiDirectAlgebraElement):
-        return lp.SemiDirectAlgebraElement(
-            x.loop_part + y.loop_part, x.circle_part + y.circle_part
-        )
-    return x + y
 
 
 def nerve_faces(length: int):
@@ -108,10 +101,7 @@ def nerve_faces(length: int):
 
 
 def _product(values):
-    out = values[0]
-    for g in values[1:]:
-        out = lp.semidirect_multiply(out, g) if _is_semidirect(out) else lp.loop_product(out, g)
-    return out
+    return reduce(lp.multiply, values)
 
 
 def face_map(reach, points):
@@ -126,15 +116,14 @@ def _push_tangents(reach, points, tangents):
     tangent, ``later`` the product of the slots after s in that component;
     the contributions are summed in slot order.
     """
-    ad_inv = lp.semidirect_adjoint_inverse if _is_semidirect(points[0]) else lp.adjoint_inverse
     pushed = []
     for slots in reach:
         total = None
         for m, s in enumerate(slots):
             later, term = slots[m + 1 :], tangents[s]
             if later:
-                term = ad_inv(_product([points[k] for k in later]), term)
-            total = term if total is None else _add(total, term)
+                term = lp.adjoint_inverse(_product([points[k] for k in later]), term)
+            total = term if total is None else total + term
         pushed.append(total)
     return tuple(pushed)
 
@@ -166,14 +155,7 @@ def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
         minus = alpha_form(_flow_tuple(points, tans_flow, -h), tans_eval)
         return lp.central(plus, minus, h)
 
-    if _is_semidirect(points[0]):
-        bracket = tuple(
-            lp.semidirect_bracket(x, y) for x, y in zip(tans_x, tans_y)
-        )
-    else:
-        bracket = tuple(
-            lp.loop_product(x, y) - lp.loop_product(y, x) for x, y in zip(tans_x, tans_y)
-        )
+    bracket = tuple(lp.bracket(x, y) for x, y in zip(tans_x, tans_y))
     return 0.5 * (
         directional(tans_x, tans_y)
         - directional(tans_y, tans_x)
@@ -281,10 +263,8 @@ def reduced_splitting_transformation_residual(
 ) -> float:
     """|ell(p, xi) - ell(pg, ad(g^{-1}) xi) - sigma(g^{-1}, xi)|."""
     lhs = reduced_splitting(phi_value, a)
-    gamma, ang = g.loop_part, g.angle
-    drift = lp.loop_product(lp.loop_inverse(gamma), lp.loop_derivative(gamma))
-    phi_moved = lp.rotate(-ang, lp.adjoint_inverse(gamma, phi_value) + drift)
-    a_moved = lp.semidirect_adjoint_inverse(g, a)
+    phi_moved = lp.gauge_shift(g, phi_value)
+    a_moved = lp.adjoint_inverse(g, a)
     rhs = reduced_splitting(phi_moved, a_moved) + group_cocycle_sigma(g, a)
     return abs(lhs - rhs)
 

@@ -53,8 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     fields: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            fields.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"cannot read --config {args.config!r}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"--config must hold a JSON object, got {type(loaded).__name__}")
+        fields.update(loaded)
     env_seed = os.environ.get("LOOPFORMS_SEED")
     if env_seed is not None and "seed" not in fields:
         try:

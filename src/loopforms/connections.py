@@ -159,11 +159,10 @@ def independence_homotopy_form(
         phit = fc.form_sum([c0.phi, varphi], [1.0, float(t)])
         ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
         cyl_t = string_cylinder(ct)
-        integrand = fc.cyl_poly_wedge(
+        terms.append(fc.fiber_integrate_poly_wedge(
             [diff_cyl] + [cyl_t] * (k - 1),
             lambda vals: eval_invariant_polynomial(f, vals),
-        )
-        terms.append(fc.fiber_integrate_s1(integrand))
+        ))
     return fc.scale_form(float(k), fc.form_sum(terms, list(w)))
 
 
@@ -173,11 +172,14 @@ def gauge_transform(c, sigma):
     For plain loop-group data sigma maps chart points to group loops; for
     rotation-extended data it returns SemiDirectGroupElement values.  The
     connection picks up the adjoint twist plus the Maurer-Cartan shift,
-    the Higgs field its twisted equivariance shift.  sigma is taken as a
+    the Higgs field the shift ``loopspace.gauge_shift``.  sigma is taken as a
     0-form (a plain callable is wrapped), so its stencil points are kept.
     """
     sigma = fc.chart_function(sigma, c.dim)
     dsigma = fc.exterior_derivative(sigma, c.fd_step)
+
+    def phi(p, idx):
+        return lp.gauge_shift(sigma(p), c.phi(p))
 
     if isinstance(c, LGConnectionData):
 
@@ -187,11 +189,6 @@ def gauge_transform(c, sigma):
             return lp.adjoint_inverse(g, c.A.coeff(p, idx)) + lp.loop_product(
                 ginv, dsigma.coeff(p, idx)
             )
-
-        def phi(p, idx):
-            g = sigma(p)
-            ginv = lp.loop_inverse(g)
-            return lp.adjoint_inverse(g, c.phi(p)) + lp.loop_product(ginv, lp.loop_derivative(g))
 
         return replace(
             c, A=fc.FormField(1, c.dim, A_coeff), phi=fc.FormField(0, c.dim, phi)
@@ -213,13 +210,6 @@ def gauge_transform(c, sigma):
 
         def a_coeff(p, idx):
             return c.a.coeff(p, idx) + dsigma.coeff(p, idx).circle_part
-
-        def phi(p, idx):
-            s = sigma(p)
-            g, ang = s.loop_part, s.angle
-            ginv = lp.loop_inverse(g)
-            moved = lp.adjoint_inverse(g, c.phi(p)) + lp.loop_product(ginv, lp.loop_derivative(g))
-            return lp.rotate(-ang, moved)
 
         return replace(
             c,

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .liecore import killing
-from .loopspace import central, circle_integral, loop_product
+from .loopspace import bracket, central, circle_integral
 
 # Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
 STENCIL_POINTS = 16
@@ -188,7 +188,7 @@ def _scalar_times(s, X):
 
 def wedge_bracket(A: FormField, B: FormField) -> FormField:
     """Graded bracket [A, B]; for 1-forms [A, A]_{ij} = 2 [A_i, A_j]."""
-    return poly_wedge([A, B], lambda v: loop_product(v[0], v[1]) - loop_product(v[1], v[0]))
+    return poly_wedge([A, B], lambda v: bracket(v[0], v[1]))
 
 
 def wedge_pair(A: FormField, B: FormField) -> FormField:
@@ -344,10 +344,14 @@ class CylinderForm:
             raise DegreeError("need deg beta = deg gamma + 1")
 
 
-def cyl_poly_wedge(cyls: list[CylinderForm], combine: Callable) -> CylinderForm:
-    """poly_wedge on chart x S1; terms with two dtheta factors vanish."""
+def fiber_integrate_poly_wedge(cyls: list[CylinderForm], combine: Callable) -> FormField:
+    """Fiber integral over S1 of poly_wedge on chart x S1.
+
+    Only the terms with one dtheta factor survive the integral: slot i
+    takes its gamma, the others their beta, with the sign of moving dtheta
+    past the later betas.  Terms with two dtheta factors vanish.
+    """
     betas = [c.beta for c in cyls]
-    beta_out = poly_wedge(betas, combine)
     terms = []
     weights = []
     for i, c in enumerate(cyls):
@@ -355,12 +359,7 @@ def cyl_poly_wedge(cyls: list[CylinderForm], combine: Callable) -> CylinderForm:
         slots = betas[:i] + [c.gamma] + betas[i + 1 :]
         terms.append(poly_wedge(slots, combine))
         weights.append(float(sign))
-    return CylinderForm(beta_out, form_sum(terms, weights))
-
-
-def fiber_integrate_s1(omega: CylinderForm) -> FormField:
-    """Integrate over the circle fiber: beta is discarded, gamma integrated."""
-    return integrate_loop_form(omega.gamma)
+    return integrate_loop_form(form_sum(terms, weights))
 
 
 def integrate_loop_form(form: FormField) -> FormField:

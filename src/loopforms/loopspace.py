@@ -4,6 +4,11 @@ A loop with values in V is an ndarray whose leading axis holds N uniform
 samples at theta_j = 2 pi j / N: shape (N,) for scalars, (N, n, n) for
 algebra or group values.  Derivatives and rotations go through the FFT,
 so they are exact for band-limited data (all frequencies below N/2).
+
+The group operations ``multiply``, ``adjoint``, ``adjoint_inverse``,
+``bracket`` and the Higgs gauge shift ``gauge_shift`` take either plain
+loops (LG) or SemiDirect pairs (LG x| S1); at angle 0 and circle part 0 a
+pair's formula is the loop one.
 """
 
 from __future__ import annotations
@@ -122,11 +127,6 @@ def loop_inverse(g: np.ndarray) -> np.ndarray:
     return g.conj().swapaxes(-1, -2)
 
 
-def adjoint_inverse(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Ad(g^{-1}) xi = g^{-1} xi g, pointwise, for a unitary g."""
-    return loop_product(loop_product(loop_inverse(g), xi), g)
-
-
 def z_map(g: np.ndarray) -> np.ndarray:
     """gamma -> (d gamma)(theta) gamma(theta)^{-1}."""
     return loop_product(loop_derivative(g), loop_inverse(g))
@@ -153,6 +153,11 @@ class SemiDirectAlgebraElement:
 
     loop_part: np.ndarray
     circle_part: float
+
+    def __add__(self, other: SemiDirectAlgebraElement) -> SemiDirectAlgebraElement:
+        return SemiDirectAlgebraElement(
+            self.loop_part + other.loop_part, self.circle_part + other.circle_part
+        )
 
 
 @dataclass(frozen=True)
@@ -184,51 +189,61 @@ def central(plus, minus, h: float, base=None):
     return diff / (2.0 * h)
 
 
-def semidirect_multiply(
-    g1: SemiDirectGroupElement, g2: SemiDirectGroupElement
-) -> SemiDirectGroupElement:
-    """(gamma_1, phi_1)(gamma_2, phi_2) = (gamma_1 rot_{phi_1}(gamma_2), phi_1 + phi_2)."""
-    return SemiDirectGroupElement(
-        loop_product(g1.loop_part, rotate(g1.angle, g2.loop_part)), g1.angle + g2.angle
-    )
+# -- group operations on LG and LG x| S1 ---------------------------------------
 
 
-def semidirect_bracket(
-    a: SemiDirectAlgebraElement, b: SemiDirectAlgebraElement
-) -> SemiDirectAlgebraElement:
-    """[(xi, x), (zeta, y)] = ([xi, zeta] - x dzeta + y dxi, 0)."""
-    xi, zeta = a.loop_part, b.loop_part
-    if xi.shape != zeta.shape:
-        raise ValueError(f"loop shapes differ: {xi.shape} vs {zeta.shape}")
-    loop = (
-        loop_product(xi, zeta)
-        - loop_product(zeta, xi)
-        - a.circle_part * loop_derivative(zeta)
-        + b.circle_part * loop_derivative(xi)
-    )
-    return SemiDirectAlgebraElement(loop, 0.0)
+def multiply(g1, g2):
+    """Pointwise product; (gamma_1, phi_1)(gamma_2, phi_2) =
+    (gamma_1 rot_{phi_1}(gamma_2), phi_1 + phi_2)."""
+    if isinstance(g1, SemiDirectGroupElement):
+        return SemiDirectGroupElement(
+            loop_product(g1.loop_part, rotate(g1.angle, g2.loop_part)), g1.angle + g2.angle
+        )
+    return loop_product(g1, g2)
 
 
-def semidirect_adjoint(
-    g: SemiDirectGroupElement, a: SemiDirectAlgebraElement
-) -> SemiDirectAlgebraElement:
-    """ad(gamma, phi)(xi, x) = (Ad(gamma) rot_phi(xi) + x dgamma gamma^{-1}, x)."""
-    gamma = g.loop_part
-    if gamma.shape != a.loop_part.shape:
-        raise ValueError("loop shapes differ")
-    rotated = rotate(g.angle, a.loop_part)
-    loop = (
-        loop_product(loop_product(gamma, rotated), loop_inverse(gamma))
-        + a.circle_part * z_map(gamma)
-    )
-    return SemiDirectAlgebraElement(loop, a.circle_part)
+def adjoint(g, a):
+    """Ad(gamma) xi = gamma xi gamma^{-1}, pointwise, for a unitary gamma;
+    Ad(gamma, phi)(xi, x) = (Ad(gamma) rot_phi(xi) + x dgamma gamma^{-1}, x)."""
+    if isinstance(g, SemiDirectGroupElement):
+        gamma = g.loop_part
+        if gamma.shape != a.loop_part.shape:
+            raise ValueError("loop shapes differ")
+        loop = adjoint(gamma, rotate(g.angle, a.loop_part)) + a.circle_part * z_map(gamma)
+        return SemiDirectAlgebraElement(loop, a.circle_part)
+    return loop_product(loop_product(g, a), loop_inverse(g))
 
 
-def semidirect_adjoint_inverse(
-    g: SemiDirectGroupElement, a: SemiDirectAlgebraElement
-) -> SemiDirectAlgebraElement:
-    """ad(gamma, phi)^{-1}(xi, x) = (rot_{-phi}(Ad(gamma^{-1}) xi - x gamma^{-1} dgamma), x)."""
-    gamma = g.loop_part
-    drift = loop_product(loop_inverse(gamma), loop_derivative(gamma))
-    inner = adjoint_inverse(gamma, a.loop_part) - a.circle_part * drift
-    return SemiDirectAlgebraElement(rotate(-g.angle, inner), a.circle_part)
+def adjoint_inverse(g, a):
+    """Ad(gamma^{-1}) xi = gamma^{-1} xi gamma, pointwise, for a unitary gamma;
+    Ad(gamma, phi)^{-1}(xi, x) = (rot_{-phi}(Ad(gamma^{-1}) xi - x gamma^{-1} dgamma), x)."""
+    if isinstance(g, SemiDirectGroupElement):
+        gamma = g.loop_part
+        drift = loop_product(loop_inverse(gamma), loop_derivative(gamma))
+        inner = adjoint_inverse(gamma, a.loop_part) - a.circle_part * drift
+        return SemiDirectAlgebraElement(rotate(-g.angle, inner), a.circle_part)
+    return loop_product(loop_product(loop_inverse(g), a), g)
+
+
+def bracket(a, b):
+    """[xi, zeta] pointwise; [(xi, x), (zeta, y)] = ([xi, zeta] - x dzeta + y dxi, 0)."""
+    if isinstance(a, SemiDirectAlgebraElement):
+        xi, zeta = a.loop_part, b.loop_part
+        if xi.shape != zeta.shape:
+            raise ValueError(f"loop shapes differ: {xi.shape} vs {zeta.shape}")
+        loop = (
+            bracket(xi, zeta)
+            - a.circle_part * loop_derivative(zeta)
+            + b.circle_part * loop_derivative(xi)
+        )
+        return SemiDirectAlgebraElement(loop, 0.0)
+    return loop_product(a, b) - loop_product(b, a)
+
+
+def gauge_shift(g, phi):
+    """Higgs value after the gauge change g: Ad(g^{-1}) Phi + g^{-1} dg for a
+    loop; for a pair, the loop part of Ad(g)^{-1}(Phi, -1), as Phi is the
+    dtheta component of a connection."""
+    if isinstance(g, SemiDirectGroupElement):
+        return adjoint_inverse(g, SemiDirectAlgebraElement(phi, -1.0)).loop_part
+    return adjoint_inverse(g, phi) + loop_product(loop_inverse(g), loop_derivative(g))

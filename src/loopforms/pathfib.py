@@ -53,7 +53,7 @@ class PathTangent:
 
 def tangent_from_based_loop(p: PathPoint, xi: np.ndarray) -> PathTangent:
     """Fundamental vector field of a based algebra loop (xi(0) = 0)."""
-    r = lp.loop_product(lp.loop_product(p.samples, xi), lp.loop_inverse(p.samples))
+    r = lp.adjoint(p.samples, xi)
     end = np.zeros_like(p.endpoint)
     return PathTangent(r, end)
 
@@ -134,15 +134,14 @@ def pf_higgs(p: PathPoint) -> np.ndarray:
 
     The path is quasi-periodic, p(theta + 2 pi) = p(2 pi) p(theta), so
     v(theta) = exp(-theta L / 2 pi) p(theta) with L = log p(2 pi) is
-    periodic and the derivative can be taken spectrally on v.
+    periodic and the derivative can be taken spectrally on v:
+    p^{-1} dp = Ad(v^{-1}) L / 2 pi + v^{-1} dv, the gauge shift of L / 2 pi by v.
     """
-    N, n = p.N, p.n
     L = logarithm(p.endpoint)
-    theta = lp.grid(N)
+    theta = lp.grid(p.N)
     ramp = lp.exp_loop(np.einsum("j,kl->jkl", -theta / (2.0 * pi), L))
     v = lp.loop_product(ramp, p.samples)
-    dv = lp.loop_derivative(v)
-    return lp.adjoint_inverse(v, L / (2.0 * pi)) + lp.loop_product(lp.loop_inverse(v), dv)
+    return lp.gauge_shift(v, L / (2.0 * pi))
 
 
 def pf_nabla_phi(p: PathPoint, V: np.ndarray, alpha: CutoffFunction) -> np.ndarray:
@@ -256,9 +255,7 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = 2.0 * pi / M
     a1 = lp.resample(xi, M, (0.5 - sqrt(3.0) / 6.0) * h)
     a2 = lp.resample(xi, M, (0.5 + sqrt(3.0) / 6.0) * h)
-    omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * (
-        lp.loop_product(a1, a2) - lp.loop_product(a2, a1)
-    )
+    omega = 0.5 * h * (a1 + a2) + (sqrt(3.0) / 12.0) * h ** 2 * lp.bracket(a1, a2)
     del a1, a2  # M-step arrays: let them go before the exponentials' peak
     block = lp.exp_loop(omega).reshape((N, MAGNUS_REFINE) + xi.shape[1:])
     while block.shape[1] > 1:  # pairwise products inside each block

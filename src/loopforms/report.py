@@ -411,9 +411,9 @@ def _loops_zmap(cfg: RunConfig, rng) -> float:
 def _loops_sd_jacobi(cfg: RunConfig, rng) -> float:
     def trial():
         a, b, c = (_sd_algebra(cfg, rng) for _ in range(3))
-        j = lp.semidirect_bracket(a, lp.semidirect_bracket(b, c)).loop_part
-        j = j + lp.semidirect_bracket(b, lp.semidirect_bracket(c, a)).loop_part
-        j = j + lp.semidirect_bracket(c, lp.semidirect_bracket(a, b)).loop_part
+        j = lp.bracket(a, lp.bracket(b, c)).loop_part
+        j = j + lp.bracket(b, lp.bracket(c, a)).loop_part
+        j = j + lp.bracket(c, lp.bracket(a, b)).loop_part
         return np.max(np.abs(j))
 
     return _worst_over(10, trial)
@@ -425,10 +425,8 @@ def _loops_sd_adjoint(cfg: RunConfig, rng) -> float:
         g = _sd_group(cfg, rng)
         a = _sd_algebra(cfg, rng)
         b = _sd_algebra(cfg, rng)
-        lhs = lp.semidirect_adjoint(g, lp.semidirect_bracket(a, b))
-        rhs = lp.semidirect_bracket(
-            lp.semidirect_adjoint(g, a), lp.semidirect_adjoint(g, b)
-        )
+        lhs = lp.adjoint(g, lp.bracket(a, b))
+        rhs = lp.bracket(lp.adjoint(g, a), lp.adjoint(g, b))
         return fc._worst(
             [np.max(np.abs(lhs.loop_part - rhs.loop_part)),
              abs(lhs.circle_part - rhs.circle_part)]
@@ -858,8 +856,7 @@ def _pathfib_equivariance(cfg: RunConfig, rng) -> float:
     eta = _path_xi(cfg, rng, scale=0.5)
     eta = eta - eta[0]  # based loop generator
     hloop = lp.exp_loop(eta)
-    moved = lp.adjoint_inverse(hloop, xi) + lp.loop_inverse(hloop) @ lp.loop_derivative(hloop)
-    g1, _ = pathfib.higgs_holonomy(moved)
+    g1, _ = pathfib.higgs_holonomy(lp.gauge_shift(hloop, xi))
     g0, _ = pathfib.higgs_holonomy(xi)
     return float(np.max(np.abs(g1 - g0 @ hloop)))
 

@@ -179,7 +179,7 @@ class TestSimplicial:
             )
             return (plus - minus) / (2 * h)
 
-        bracket = tuple(lp.semidirect_bracket(x, y) for x, y in zip(tx, ty))
+        bracket = tuple(lp.bracket(x, y) for x, y in zip(tx, ty))
         d_alpha_1 = 0.5 * (
             directional(tx, ty) - directional(ty, tx) - alpha_uncorrected(pts, bracket)
         )
@@ -389,11 +389,7 @@ def _textbook_face(i, points):
         return points[1:]
     if i == m:
         return points[:-1]
-    a, b = points[i - 1], points[i]
-    if isinstance(a, lp.SemiDirectGroupElement):
-        merged = lp.semidirect_multiply(a, b)
-    else:
-        merged = lp.loop_product(a, b)
+    merged = lp.multiply(points[i - 1], points[i])
     return points[: i - 1] + (merged,) + points[i + 1 :]
 
 
@@ -413,7 +409,7 @@ def _push_all_slots(i, points, tangents, h):
         plus = _textbook_face(i, ce._flow_tuple(points, tan, h))
         minus = _textbook_face(i, ce._flow_tuple(points, tan, -h))
         delta = tuple(lp.central(p, q, h, base=b) for b, p, q in zip(base, plus, minus))
-        total = delta if total is None else tuple(ce._add(x, y) for x, y in zip(total, delta))
+        total = delta if total is None else tuple(x + y for x, y in zip(total, delta))
     return base, total
 
 
@@ -425,11 +421,7 @@ def _textbook_push(i, points, tangents):
         return tangents[1:]
     if i == m:
         return tangents[:-1]
-    g, xi = points[i], tangents[i - 1]
-    if isinstance(g, lp.SemiDirectGroupElement):
-        merged = ce._add(lp.semidirect_adjoint_inverse(g, xi), tangents[i])
-    else:
-        merged = ce._add(lp.adjoint_inverse(g, xi), tangents[i])
+    merged = lp.adjoint_inverse(points[i], tangents[i - 1]) + tangents[i]
     return tangents[: i - 1] + (merged,) + tangents[i + 1 :]
 
 

@@ -300,6 +300,8 @@ class TestPullback:
 
 
 class TestCylinder:
+    """Fiber integrals of one cylinder form through the identity value map."""
+
     def test_constant_dtheta_integral(self):
         # w = f(x) dtheta -> 2 pi f(x)
         dim = 2
@@ -307,7 +309,7 @@ class TestCylinder:
         poly = sampling.random_poly(RNG, dim)
         beta = zero_form(dim, 1, np.zeros(N))
         gamma = fc.FormField(0, dim, lambda p, idx: np.full(N, poly(p)))
-        out = fc.fiber_integrate_s1(fc.CylinderForm(beta, gamma))
+        out = fc.fiber_integrate_poly_wedge([fc.CylinderForm(beta, gamma)], lambda v: v[0])
         p = RNG.standard_normal(dim)
         assert out.coeff(p, ()) == pytest.approx(2 * np.pi * poly(p), rel=1e-12)
 
@@ -318,7 +320,7 @@ class TestCylinder:
         gamma = fc.FormField(
             1, dim, lambda p, idx: np.sin(grid(N)) if idx == (0,) else np.zeros(N)
         )
-        out = fc.fiber_integrate_s1(fc.CylinderForm(beta, gamma))
+        out = fc.fiber_integrate_poly_wedge([fc.CylinderForm(beta, gamma)], lambda v: v[0])
         assert abs(out.coeff(np.zeros(dim), (0,))) < 1e-13
 
     def test_no_dtheta_component(self):
@@ -329,7 +331,7 @@ class TestCylinder:
         }
         beta = fc.FormField(2, dim, lambda p, idx: np.full(N, polys[tuple(idx)](p)))
         gamma = zero_form(dim, 1, np.zeros(N))
-        out = fc.fiber_integrate_s1(fc.CylinderForm(beta, gamma))
+        out = fc.fiber_integrate_poly_wedge([fc.CylinderForm(beta, gamma)], lambda v: v[0])
         assert fc.max_coeff(out, [RNG.standard_normal(dim)]) == 0.0
 
 

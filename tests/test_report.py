@@ -333,9 +333,10 @@ class TestCLI:
             ({"seed": "7"}, None),
             ({"tolerance_overrides": ["lie.bracket.jacobi"]}, None),
             ({}, "abc"),
+            ([1, 2], None),
         ],
         ids=["override-str", "override-negative", "fd_step-str", "samples-float",
-             "seed-str", "overrides-list", "env-seed"],
+             "seed-str", "overrides-list", "env-seed", "config-not-object"],
     )
     def test_bad_input_exit_two(self, config, env_seed, tmp_path, monkeypatch, capsys):
         def must_not_run(suite):
@@ -348,6 +349,22 @@ class TestCLI:
             monkeypatch.setenv("LOOPFORMS_SEED", env_seed)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        code = cli_main(["verify", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "{not json", "\xff"],
+                             ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_config_exit_two(self, text, tmp_path, monkeypatch, capsys):
+        def must_not_run(suite):
+            raise AssertionError("checks selected")
+
+        monkeypatch.setattr(rp, "checks_for", must_not_run)
+        cfgfile = tmp_path / "cfg.json"
+        if text is not None:
+            cfgfile.write_bytes(text.encode("latin-1"))
         out = tmp_path / "r.json"
         code = cli_main(["verify", "--config", str(cfgfile), "--out", str(out)])
         assert code == 2
@@ -453,6 +470,8 @@ class TestDiffReports:
         after["checks"][0]["residual"] = math.nextafter(after["checks"][0]["residual"], 1.0)
         after["checks"][1]["tolerance"] *= 2.0
         after["checks"][2]["anchor"] = "moved/anchor"
+        for report, exc in ((before, "ValueError"), (after, "TypeError")):
+            report["checks"][3].update(residual=math.nan, status="error", error=exc)
         proc = self.run_diff(tmp_path, before, after)
         assert proc.returncode == 1
         out = proc.stdout
@@ -460,6 +479,7 @@ class TestDiffReports:
         assert f"residual changed: {before['checks'][0]['name']}" in out
         assert f"tolerance changed: {before['checks'][1]['name']}" in out
         assert f"anchor changed: {before['checks'][2]['name']}" in out
+        assert f"error changed: {before['checks'][3]['name']}" in out
 
 
 # perfbench/run.py stand-in: starts one child, writes "own child" pids, sleeps
