@@ -3,15 +3,15 @@
 
     python scripts/diff_reports.py BEFORE.json AFTER.json
 
-Lists checks present in only one report, anchor, tolerance and error
-changes (``error`` is the exception type of a check that raised), and
-every residual that is not bitwise equal, with its change in decades
-(log10 of after / before).  Exits 0 when the reports agree on all of
-these, 1 otherwise.  Also prints each report's headroom, log10(tol /
-residual), as min and median over its checks by the benchmark's own
-``headroom`` (``perfbench/run.py``), so the ``headroom_*_dec`` metrics can
-be read without a benchmark run; NaN residuals (checks that raised) are
-left out.
+Lists every config field that differs, checks present in only one
+report, anchor, tolerance and error changes (``error`` is the exception
+type of a check that raised), and every residual that is not bitwise
+equal, with its change in decades (log10 of after / before).  Exits 0
+when the reports agree on all of these, 1 otherwise.  Also prints each
+report's headroom, log10(tol / residual), as min and median over its
+checks by the benchmark's own ``headroom`` (``perfbench/run.py``), so the
+``headroom_*_dec`` metrics can be read without a benchmark run; NaN
+residuals (checks that raised) are left out.
 """
 
 import argparse
@@ -26,9 +26,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from run import headroom  # noqa: E402
 
 
-def load_checks(path: str) -> dict:
+def load(path: str) -> tuple[dict, dict]:
+    """A report's config and its checks by name."""
     with open(path) as fh:
-        return {c["name"]: c for c in json.load(fh)["checks"]}
+        payload = json.load(fh)
+    return payload["config"], {c["name"]: c for c in payload["checks"]}
 
 
 def decades(before: float, after: float) -> str:
@@ -44,8 +46,13 @@ def headroom_line(label: str, checks: dict) -> str:
     return f"headroom {label}: min {min(dec):.4f} dec, median {statistics.median(dec):.4f} dec"
 
 
-def diff(before: dict, after: dict) -> list[str]:
-    lines = [f"removed: {name}" for name in sorted(set(before) - set(after))]
+def diff(config_before: dict, config_after: dict, before: dict, after: dict) -> list[str]:
+    lines = [
+        f"config changed: {key}: {config_before.get(key)!r} -> {config_after.get(key)!r}"
+        for key in sorted(set(config_before) | set(config_after))
+        if config_before.get(key) != config_after.get(key)
+    ]
+    lines += [f"removed: {name}" for name in sorted(set(before) - set(after))]
     lines += [f"added: {name}" for name in sorted(set(after) - set(before))]
     for name in sorted(set(before) & set(after)):
         b, a = before[name], after[name]
@@ -65,8 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("before")
     ap.add_argument("after")
     args = ap.parse_args(argv)
-    before, after = load_checks(args.before), load_checks(args.after)
-    lines = diff(before, after)
+    (config_before, before), (config_after, after) = load(args.before), load(args.after)
+    lines = diff(config_before, config_after, before, after)
     for line in lines:
         print(line)
     common = len(set(before) & set(after))

@@ -29,7 +29,7 @@ def main() -> int:
     for N in (64, 128, 256, 512):
         worst = {"default": 0.0, "alternate": 0.0}
         xi = sampling.bandlimited_algebra_loop(rng, N, 2, kmax=3, scale=0.4)
-        p = pathfib.holonomy_path(xi)
+        p = pathfib.higgs_holonomy(xi)
         cutoffs = {
             "default": pathfib.default_cutoff(N),
             "alternate": pathfib.alternate_cutoff(N),

@@ -37,6 +37,8 @@ class ExtendedChart:
         object.__setattr__(self, "basis", sun_basis(self.n))
         if self.g0 is None:
             object.__setattr__(self, "g0", np.eye(self.n, dtype=complex))
+        group_map = fc.chart_function(self.group_point, len(self.basis))
+        object.__setattr__(self, "_mc", fc.maurer_cartan(group_map, self.fd_step))
 
     @property
     def group_dim(self) -> int:
@@ -56,15 +58,8 @@ class ExtendedChart:
         return self.g0 @ exponential(x)
 
     def maurer_cartan(self, u: np.ndarray) -> np.ndarray:
-        """Theta coefficients (m, n, n): g^{-1} dg/du_a by central differences."""
-        g = self.group_point(u)
-        h = self.fd_step
-        out = np.empty((self.group_dim, self.n, self.n), dtype=complex)
-        for a in range(self.group_dim):
-            e = np.zeros(self.group_dim)
-            e[a] = h
-            out[a] = lp.central(self.group_point(u + e), self.group_point(u - e), h, base=g)
-        return out
+        """Theta = g^{-1} dg/du_a, (m, n, n), from the chart's memoized ``fc.maurer_cartan``."""
+        return np.stack([self._mc.coeff(u, (a,)) for a in range(self.group_dim)])
 
     def identity_coordinates(self) -> np.ndarray:
         """Group coordinates u* with g(u*) = identity."""
@@ -103,9 +98,7 @@ def to_g_connection(
                 Ai = Ai + c.a.coeff(x, (i,)) * phi
             out[i] = lp.adjoint_inverse(g, Ai)
         out[chart.theta_index] = lp.adjoint_inverse(g, phi)
-        mc = chart.maurer_cartan(u)
-        for a in range(chart.group_dim):
-            out[chart.base_dim + 1 + a] = np.broadcast_to(mc[a], (c.N, c.n, c.n))
+        out[chart.base_dim + 1 :] = chart.maurer_cartan(u)[:, None]
         return out
 
     return GConnectionField(chart, coeffs)

@@ -219,7 +219,7 @@ def delta_epsilon_vs_tau_alpha(
     h, X = c.fd_step, np.asarray(X, dtype=float)
     t12, t23 = tau12(point), tau23(point)
     xi12, xi23 = (
-        lp.central(tau(point + h * X), tau(point - h * X), h, base=t)
+        lp.left_translate(t, lp.central(tau(point + h * X), tau(point - h * X), h))
         for tau, t in ((tau12, t12), (tau23, t23))
     )
     return abs(lhs - alpha_form((t12, t23), (xi12, xi23)))
@@ -238,7 +238,7 @@ def curving_direct(c) -> fc.FormField:
     inner = fc.form_sum(
         [fc.wedge_pair(c.A, partial_theta(c.A)), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
     )
-    return fc.scale_form(1.0 / (2.0 * pi), fc.integrate_loop_form(inner))
+    return fc.form_sum([fc.integrate_loop_form(inner)], [1.0 / (2.0 * pi)])
 
 
 def extension_cocycle(a: lp.SemiDirectAlgebraElement, b: lp.SemiDirectAlgebraElement) -> float:

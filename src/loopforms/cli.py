@@ -14,6 +14,7 @@ precedence over 1, and the other checks still run and are reported.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -83,27 +84,33 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _write(text: str, out: str | None) -> None:
-    """Write ``text`` to the ``--out`` file if one is given, else to stdout."""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The ``--out`` file, opened before anything runs so that a path that
+    cannot be written is a configuration error, or stdout."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            # run_suite validates the config before any check runs
-            report = run_suite(_config_from_args(args))
-            _write(emit_report(report, args.format), args.out)
+            config = _config_from_args(args)
+            config.validate()  # a bad config leaves no --out file behind
+            with _output(args.out) as fh:
+                report = run_suite(config)
+                fh.write(emit_report(report, args.format))
             if any(c.status == "error" for c in report.checks):
                 return 3
             return 0 if report.all_passed else 1
         if args.command == "table":
-            _write(coefficient_table(args.kmax), args.out)
+            text = coefficient_table(args.kmax)
+            with _output(args.out) as fh:
+                fh.write(text)
             return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -69,11 +69,11 @@ def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
     """F = dA + (1/2)[A, A]; for LG x| S1 data
     (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da)."""
     dA = fc.exterior_derivative(c.A, c.fd_step)
-    half_bracket = fc.scale_form(0.5, fc.wedge_bracket(c.A, c.A))
+    AA = fc.wedge_bracket(c.A, c.A)
     if not isinstance(c, LGxS1ConnectionData):
-        return CurvaturePair(F=fc.form_sum([dA, half_bracket]))
+        return CurvaturePair(F=fc.form_sum([dA, AA], [1.0, 0.5]))
     twist = fc.wedge_scalar(c.a, partial_theta(c.A))
-    F = fc.form_sum([dA, half_bracket, twist], [1.0, 1.0, -1.0])
+    F = fc.form_sum([dA, AA, twist], [1.0, 0.5, -1.0])
     return CurvaturePair(F=F, f=fc.exterior_derivative(c.a, c.fd_step))
 
 
@@ -96,7 +96,7 @@ def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
     if isinstance(c, LGxS1ConnectionData):
         lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)])
     integrand = fc.wedge_pair(lifted, covariant_higgs(c))
-    return fc.scale_form(-1.0 / (4.0 * pi ** 2), fc.integrate_loop_form(integrand))
+    return fc.form_sum([fc.integrate_loop_form(integrand)], [-1.0 / (4.0 * pi ** 2)])
 
 
 def higher_string_form(
@@ -110,7 +110,7 @@ def higher_string_form(
     F = curvature(c).F
     slots = [covariant_higgs(c)] + [F] * (k - 1)
     integrand = fc.poly_wedge(slots, lambda vals: eval_invariant_polynomial(f, vals))
-    return fc.scale_form(float(k), fc.integrate_loop_form(integrand))
+    return fc.form_sum([fc.integrate_loop_form(integrand)], [float(k)])
 
 
 def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderForm:
@@ -163,59 +163,46 @@ def independence_homotopy_form(
             [diff_cyl] + [cyl_t] * (k - 1),
             lambda vals: eval_invariant_polynomial(f, vals),
         ))
-    return fc.scale_form(float(k), fc.form_sum(terms, list(w)))
+    return fc.form_sum([fc.form_sum(terms, list(w))], [float(k)])
 
 
 def gauge_transform(c, sigma):
-    """Change of trivialization by a smooth gauge function.
+    """Change of trivialization by a gauge map sigma, taken as a 0-form (a
+    plain callable is wrapped) so that its stencil points are kept.
 
-    For plain loop-group data sigma maps chart points to group loops; for
-    rotation-extended data it returns SemiDirectGroupElement values.  The
-    connection picks up the adjoint twist plus the Maurer-Cartan shift,
-    the Higgs field the shift ``loopspace.gauge_shift``.  sigma is taken as a
-    0-form (a plain callable is wrapped), so its stencil points are kept.
+    LG: A' = Ad(sigma^{-1}) A + ``formscalc.maurer_cartan(sigma)``.  LG x| S1,
+    sigma = (gamma, phi): A' = rot_{-phi}(Ad(gamma^{-1}) A - a gamma^{-1} d_theta gamma
+    + gamma^{-1} (d sigma)_loop), one rotation, and a' = a + (d sigma)_circle.
+    The Higgs field takes the shift ``loopspace.gauge_shift``.
     """
     sigma = fc.chart_function(sigma, c.dim)
-    dsigma = fc.exterior_derivative(sigma, c.fd_step)
-
-    def phi(p, idx):
-        return lp.gauge_shift(sigma(p), c.phi(p))
+    phi = fc.FormField(0, c.dim, lambda p, idx: lp.gauge_shift(sigma(p), c.phi(p)))
 
     if isinstance(c, LGConnectionData):
+        mc = fc.maurer_cartan(sigma, c.fd_step)
 
         def A_coeff(p, idx):
-            g = sigma(p)
-            ginv = lp.loop_inverse(g)
-            return lp.adjoint_inverse(g, c.A.coeff(p, idx)) + lp.loop_product(
-                ginv, dsigma.coeff(p, idx)
-            )
+            return lp.adjoint_inverse(sigma(p), c.A.coeff(p, idx)) + mc.coeff(p, idx)
 
-        return replace(
-            c, A=fc.FormField(1, c.dim, A_coeff), phi=fc.FormField(0, c.dim, phi)
-        )
+        return replace(c, A=fc.FormField(1, c.dim, A_coeff), phi=phi)
 
     if isinstance(c, LGxS1ConnectionData):
+        dsigma = fc.exterior_derivative(sigma, c.fd_step)
 
         def A_coeff(p, idx):
             s = sigma(p)
-            g, ang = s.loop_part, s.angle
-            ginv = lp.loop_inverse(g)
-            ai = c.a.coeff(p, idx)
+            g = s.loop_part
             inner = (
                 lp.adjoint_inverse(g, c.A.coeff(p, idx))
-                - fc._scalar_times(ai, lp.loop_product(ginv, lp.loop_derivative(g)))
-                + lp.loop_product(ginv, dsigma.coeff(p, idx).loop_part)
+                - c.a.coeff(p, idx) * lp.left_translate(g, lp.loop_derivative(g))
+                + lp.left_translate(g, dsigma.coeff(p, idx).loop_part)
             )
-            return lp.rotate(-ang, inner)
+            return lp.rotate(-s.angle, inner)
 
         def a_coeff(p, idx):
             return c.a.coeff(p, idx) + dsigma.coeff(p, idx).circle_part
 
-        return replace(
-            c,
-            A=fc.FormField(1, c.dim, A_coeff),
-            a=fc.FormField(1, c.dim, a_coeff),
-            phi=fc.FormField(0, c.dim, phi),
-        )
+        A, a = fc.FormField(1, c.dim, A_coeff), fc.FormField(1, c.dim, a_coeff)
+        return replace(c, A=A, a=a, phi=phi)
 
     raise TypeError(f"unsupported connection data {type(c)!r}")

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .liecore import killing
-from .loopspace import bracket, central, circle_integral
+from .loopspace import bracket, central, circle_integral, left_translate
 
 # Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
 STENCIL_POINTS = 16
@@ -219,10 +219,6 @@ def form_sum(forms: list[FormField], weights=None) -> FormField:
     return FormField(degree, dim, coeff)
 
 
-def scale_form(c: float, form: FormField) -> FormField:
-    return FormField(form.degree, form.dim, lambda p, idx: c * np.asarray(form.coeff(p, idx)))
-
-
 def single_term_form(dim: int, block: tuple[int, ...], value) -> FormField:
     """Constant form value * dx^{block} (block strictly increasing)."""
     block = tuple(block)
@@ -307,6 +303,13 @@ def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
         return total
 
     return FormField(form.degree + 1, form.dim, coeff)
+
+
+def maurer_cartan(sigma: FormField, step: float) -> FormField:
+    """sigma^{-1} d sigma of a group-valued 0-form (an LG or LG x| S1 gauge
+    map): its d at ``step``, left-translated to the identity."""
+    dsigma = exterior_derivative(sigma, step)
+    return FormField(1, sigma.dim, lambda p, idx: left_translate(sigma(p), dsigma.coeff(p, idx)))
 
 
 def pullback(

@@ -5,10 +5,10 @@ samples at theta_j = 2 pi j / N: shape (N,) for scalars, (N, n, n) for
 algebra or group values.  Derivatives and rotations go through the FFT,
 so they are exact for band-limited data (all frequencies below N/2).
 
-The group operations ``multiply``, ``adjoint``, ``adjoint_inverse``,
-``bracket`` and the Higgs gauge shift ``gauge_shift`` take either plain
-loops (LG) or SemiDirect pairs (LG x| S1); at angle 0 and circle part 0 a
-pair's formula is the loop one.
+The group operations ``multiply``, ``left_translate``, ``adjoint``,
+``adjoint_inverse``, ``bracket`` and the Higgs gauge shift ``gauge_shift``
+take either plain loops (LG) or SemiDirect pairs (LG x| S1); at angle 0
+and circle part 0 a pair's formula is the loop one.
 """
 
 from __future__ import annotations
@@ -171,22 +171,13 @@ class SemiDirectGroupElement:
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * np.pi))
 
 
-def central(plus, minus, h: float, base=None):
-    """Central-difference quotient (plus - minus) / 2h of the values at +h and -h.
-
-    With a group point ``base`` the difference is left-translated by
-    base^{-1}.  LG x| S1 values give an algebra element: the angle rate takes
-    the small difference of angles stored mod 2 pi, and a base's loop part is
-    rotated by -base.angle, as base^{-1} p has loop part rot_{-phi}(gamma^{-1} gamma_p).
-    """
+def central(plus, minus, h: float):
+    """Central-difference quotient (plus - minus) / 2h; for LG x| S1 values the
+    angle rate takes the small difference of angles stored mod 2 pi."""
     if isinstance(plus, SemiDirectGroupElement):
         rate = angle_delta(plus.angle, minus.angle) / (2.0 * h)
-        if base is None:
-            return SemiDirectAlgebraElement(central(plus.loop_part, minus.loop_part, h), rate)
-        loop = central(plus.loop_part, minus.loop_part, h, base.loop_part)
-        return SemiDirectAlgebraElement(rotate(-base.angle, loop), rate)
-    diff = plus - minus if base is None else loop_product(loop_inverse(base), plus - minus)
-    return diff / (2.0 * h)
+        return SemiDirectAlgebraElement(central(plus.loop_part, minus.loop_part, h), rate)
+    return (plus - minus) / (2.0 * h)
 
 
 # -- group operations on LG and LG x| S1 ---------------------------------------
@@ -214,15 +205,24 @@ def adjoint(g, a):
     return loop_product(loop_product(g, a), loop_inverse(g))
 
 
+def left_translate(g, v):
+    """g^{-1} v pointwise for a loop; a tangent (v, x) at (gamma, phi) moves to
+    the identity as (rot_{-phi}(gamma^{-1} v), x)."""
+    if isinstance(g, SemiDirectGroupElement):
+        loop = rotate(-g.angle, left_translate(g.loop_part, v.loop_part))
+        return SemiDirectAlgebraElement(loop, v.circle_part)
+    return loop_product(loop_inverse(g), v)
+
+
 def adjoint_inverse(g, a):
     """Ad(gamma^{-1}) xi = gamma^{-1} xi gamma, pointwise, for a unitary gamma;
     Ad(gamma, phi)^{-1}(xi, x) = (rot_{-phi}(Ad(gamma^{-1}) xi - x gamma^{-1} dgamma), x)."""
     if isinstance(g, SemiDirectGroupElement):
         gamma = g.loop_part
-        drift = loop_product(loop_inverse(gamma), loop_derivative(gamma))
+        drift = left_translate(gamma, loop_derivative(gamma))
         inner = adjoint_inverse(gamma, a.loop_part) - a.circle_part * drift
         return SemiDirectAlgebraElement(rotate(-g.angle, inner), a.circle_part)
-    return loop_product(loop_product(loop_inverse(g), a), g)
+    return loop_product(left_translate(g, a), g)
 
 
 def bracket(a, b):
@@ -246,4 +246,4 @@ def gauge_shift(g, phi):
     dtheta component of a connection."""
     if isinstance(g, SemiDirectGroupElement):
         return adjoint_inverse(g, SemiDirectAlgebraElement(phi, -1.0)).loop_part
-    return adjoint_inverse(g, phi) + loop_product(loop_inverse(g), loop_derivative(g))
+    return adjoint_inverse(g, phi) + left_translate(g, loop_derivative(g))

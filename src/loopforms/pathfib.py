@@ -231,8 +231,8 @@ def pf_higher_string_vs_transgression(
 MAGNUS_REFINE = 8
 
 
-def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve g' = g xi with g(0) = 1; returns (grid samples, endpoint).
+def higgs_holonomy(xi: np.ndarray) -> PathPoint:
+    """Solve g' = g xi with g(0) = 1; returns the grid samples and the endpoint.
 
     Fourth-order Magnus steps on M = MAGNUS_REFINE * N steps of size h:
     with xi at the two Gauss nodes (1/2 -+ sqrt(3)/6) h of each step,
@@ -268,12 +268,7 @@ def higgs_holonomy(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shift *= 2
     eye = np.eye(xi.shape[1], dtype=complex)[None]
     g = lp.project_unitary(np.concatenate((eye, prefix)))
-    return g[:N], g[N]
-
-
-def holonomy_path(xi: np.ndarray) -> PathPoint:
-    samples, endpoint = higgs_holonomy(xi)
-    return PathPoint(samples, endpoint)
+    return PathPoint(g[:N], g[N])
 
 
 def transgression_tau(f: InvariantPolynomial, k: int, frame) -> float:

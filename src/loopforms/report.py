@@ -459,17 +459,8 @@ def _forms_pure_gauge(cfg: RunConfig, rng) -> float:
         return liecore.exponential(sum(f(p) * x for f, x in zip(polys, seeds)))
 
     h = 1e-4
-
-    def A_coeff(p, idx):
-        (i,) = idx
-        e = np.zeros(dim)
-        e[i] = h
-        return lp.central(gmap(p + e), gmap(p - e), h, base=gmap(p))
-
-    A = fc.FormField(1, dim, A_coeff)
-    F = fc.form_sum(
-        [fc.exterior_derivative(A, h), fc.scale_form(0.5, fc.wedge_bracket(A, A))]
-    )
+    A = fc.maurer_cartan(fc.chart_function(gmap, dim), h)
+    F = fc.form_sum([fc.exterior_derivative(A, h), fc.wedge_bracket(A, A)], [1.0, 0.5])
     pts = sampling.random_chart_points(rng, dim, 4)
     return fc.max_coeff(F, pts)
 
@@ -789,7 +780,7 @@ def _pathfib_generator(cfg: RunConfig, rng) -> float:
     alpha = pathfib.default_cutoff(cfg.pathfib_samples)
 
     def path_trial():
-        p = pathfib.holonomy_path(_path_xi(cfg, rng))
+        p = pathfib.higgs_holonomy(_path_xi(cfg, rng))
         return _worst_over(10, lambda: _generator_residual(cfg, rng, p, alpha))
 
     return _worst_over(5, path_trial)
@@ -798,7 +789,7 @@ def _pathfib_generator(cfg: RunConfig, rng) -> float:
 @_check("pathfib.generator.cutoff_independence", "pathfib", "path-fibration/cutoff-independence", 1e-8)
 def _pathfib_cutoff(cfg: RunConfig, rng) -> float:
     alpha = pathfib.alternate_cutoff(cfg.pathfib_samples)
-    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+    p = pathfib.higgs_holonomy(_path_xi(cfg, rng))
     return _worst_over(10, lambda: _generator_residual(cfg, rng, p, alpha))
 
 
@@ -817,7 +808,7 @@ def _pathfib_bridge(cfg: RunConfig, rng) -> float:
 @_check("pathfib.connection.horizontality", "pathfib", "path-fibration/horizontal-kernel", 1e-8)
 def _pathfib_horizontal(cfg: RunConfig, rng) -> float:
     alpha = pathfib.default_cutoff(cfg.pathfib_samples)
-    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+    p = pathfib.higgs_holonomy(_path_xi(cfg, rng))
 
     def trial():
         V = sampling.random_algebra(rng, cfg.n)
@@ -838,7 +829,7 @@ def _pathfib_horizontal(cfg: RunConfig, rng) -> float:
 def _pathfib_roundtrip(cfg: RunConfig, rng) -> float:
     def trial():
         xi = _path_xi(cfg, rng, scale=0.5)
-        p = pathfib.holonomy_path(xi)
+        p = pathfib.higgs_holonomy(xi)
         return np.max(np.abs(pathfib.pf_higgs(p) - xi))
 
     return _worst_over(3, trial)
@@ -846,7 +837,7 @@ def _pathfib_roundtrip(cfg: RunConfig, rng) -> float:
 
 @_check("pathfib.holonomy.unitarity", "pathfib", "path-fibration/holonomy-unitarity", 1e-10)
 def _pathfib_unitary(cfg: RunConfig, rng) -> float:
-    _, endpoint = pathfib.higgs_holonomy(_path_xi(cfg, rng, scale=0.5))
+    endpoint = pathfib.higgs_holonomy(_path_xi(cfg, rng, scale=0.5)).endpoint
     return float(np.max(np.abs(endpoint @ endpoint.conj().T - np.eye(cfg.n))))
 
 
@@ -856,8 +847,8 @@ def _pathfib_equivariance(cfg: RunConfig, rng) -> float:
     eta = _path_xi(cfg, rng, scale=0.5)
     eta = eta - eta[0]  # based loop generator
     hloop = lp.exp_loop(eta)
-    g1, _ = pathfib.higgs_holonomy(lp.gauge_shift(hloop, xi))
-    g0, _ = pathfib.higgs_holonomy(xi)
+    g1 = pathfib.higgs_holonomy(lp.gauge_shift(hloop, xi)).samples
+    g0 = pathfib.higgs_holonomy(xi).samples
     return float(np.max(np.abs(g1 - g0 @ hloop)))
 
 
@@ -866,7 +857,7 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     # vertical probe at suite resolution; horizontal probe on a finer grid
     # because the cutoff spectrum decays only subgeometrically
     h = 1e-5
-    p = pathfib.holonomy_path(_path_xi(cfg, rng))
+    p = pathfib.higgs_holonomy(_path_xi(cfg, rng))
     based = _path_xi(cfg, rng, scale=0.5)
     based = based - based[0]
 
@@ -880,7 +871,7 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
     M = max(4 * cfg.pathfib_samples, 1024)
     alpha = pathfib.default_cutoff(M)
     xi2 = sampling.bandlimited_algebra_loop(rng, M, cfg.n, kmax=3, scale=0.4)
-    p2 = pathfib.holonomy_path(xi2)
+    p2 = pathfib.higgs_holonomy(xi2)
     V = sampling.random_algebra(rng, cfg.n)
     hX = pathfib.horizontal_tangent(p2, V, alpha)
 
@@ -901,7 +892,7 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
 def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: int,
                            n: int | None) -> float:
     alpha = pathfib.default_cutoff(cfg.pathfib_samples)
-    p = pathfib.holonomy_path(_path_xi(cfg, rng, n))
+    p = pathfib.higgs_holonomy(_path_xi(cfg, rng, n))
     f = liecore.InvariantPolynomial(k, scale)
 
     def trial():

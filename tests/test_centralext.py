@@ -408,7 +408,9 @@ def _push_all_slots(i, points, tangents, h):
         tan = tuple(t if j == s else zero(t) for j, t in enumerate(tangents))
         plus = _textbook_face(i, ce._flow_tuple(points, tan, h))
         minus = _textbook_face(i, ce._flow_tuple(points, tan, -h))
-        delta = tuple(lp.central(p, q, h, base=b) for b, p, q in zip(base, plus, minus))
+        delta = tuple(
+            lp.left_translate(b, lp.central(p, q, h)) for b, p, q in zip(base, plus, minus)
+        )
         total = delta if total is None else tuple(x + y for x, y in zip(total, delta))
     return base, total
 

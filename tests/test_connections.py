@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -381,6 +382,53 @@ class TestGaugeTransformBasics:
         ginv = lp.loop_inverse(gloop)
         want = ginv @ c.phi(p) @ gloop + ginv @ lp.loop_derivative(gloop)
         assert np.max(np.abs(ct.phi(p) - want)) < 1e-12
+
+
+class TestGaugeComposition:
+    """gauge_transform(gauge_transform(c, s1), s2) = gauge_transform(c, s1 s2),
+    s1 s2 = ``lp.multiply``, each gap bounded by its error model at step h.
+
+    - A: the stencil's product rule, d(s1 s2) against the product of the
+      differences, fails by c h^2; the gap is 4x smaller per halving of h.
+      Bound 4 (h^2 + eps/h) (c up to 0.16 on LG, 0.98 on LG x| S1 over the
+      draws here).
+    - a: d is linear, so only round-off: three angle rates, each a
+      difference of angles up to 2 pi over 2h, pi eps/h apiece.  Bound
+      4 pi eps/h (4 eps/h seen).
+    - Phi: the Higgs shift is an exact right action; round-off of a loop
+      derivative, bound 4 N eps max|Phi| as in test_loopspace (1.1 seen).
+
+    At N = 64 samples: at 32 the group loops alias and Phi's gap is 3e-9.
+    """
+
+    EPS = np.finfo(float).eps
+    N = 64
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["lg", "lgxs1"])
+    def test_gauge_action_composes(self, twisted):
+        rng = np.random.default_rng(53)
+        dim = 3
+        connection = sampling.random_lgxs1_connection if twisted else sampling.random_lg_connection
+        gauge = sampling.random_semidirect_gauge if twisted else sampling.random_gauge_loop
+        for _ in range(5):
+            c = connection(rng, dim, self.N, 2)
+            s1, s2 = gauge(rng, dim, self.N, 2), gauge(rng, dim, self.N, 2)
+            p = 0.3 * rng.standard_normal(dim)
+            gaps = {}
+            for h in (2e-4, 1e-4):
+                ch = replace(c, fd_step=h)
+                lhs = cn.gauge_transform(cn.gauge_transform(ch, s1), s2)
+                rhs = cn.gauge_transform(ch, lambda q: lp.multiply(s1(q), s2(q)))
+                gaps[h] = max(np.max(np.abs(lhs.A.coeff(p, (i,)) - rhs.A.coeff(p, (i,))))
+                              for i in range(dim))
+                assert gaps[h] <= 4.0 * (h ** 2 + self.EPS / h)
+                if twisted:
+                    a_gap = max(abs(lhs.a.coeff(p, (i,)) - rhs.a.coeff(p, (i,)))
+                                for i in range(dim))
+                    assert a_gap <= 4.0 * np.pi * self.EPS / h
+            assert 3.9 <= gaps[2e-4] / gaps[1e-4] <= 4.1
+            phi = rhs.phi(p)
+            assert np.max(np.abs(lhs.phi(p) - phi)) <= 4 * self.N * self.EPS * np.max(np.abs(phi))
 
 
 class TestChartMaps:

@@ -128,6 +128,34 @@ class TestExteriorDerivative:
             assert got.circle_part == want.circle_part
 
 
+class TestMaurerCartan:
+    @pytest.mark.parametrize("pairs", [False, True], ids=["lg", "lgxs1"])
+    def test_left_translated_central_difference_bitwise(self, pairs):
+        # sigma^{-1} d sigma is sigma(p)^{-1} times the central difference
+        rng = np.random.default_rng(47)
+        dim, h = 3, 1e-4
+        gauge = sampling.random_semidirect_gauge if pairs else sampling.random_gauge_loop
+        sigma = gauge(rng, dim, 16, 2)
+        mc = fc.maurer_cartan(sigma, h)
+        p = 0.4 * rng.standard_normal(dim)
+        for i in range(dim):
+            e = np.zeros(dim)
+            e[i] = h
+            plus, minus = sigma(p + e), sigma(p - e)
+            got = mc.coeff(p, (i,))
+            if pairs:
+                diff = lp.SemiDirectAlgebraElement(
+                    (plus.loop_part - minus.loop_part) / (2 * h),
+                    lp.angle_delta(plus.angle, minus.angle) / (2 * h),
+                )
+                want = lp.left_translate(sigma(p), diff)
+                np.testing.assert_array_equal(got.loop_part, want.loop_part)
+                assert got.circle_part == want.circle_part
+            else:
+                want = lp.left_translate(sigma(p), (plus - minus) / (2 * h))
+                np.testing.assert_array_equal(got, want)
+
+
 class TestWedge:
     def test_bracket_square_collinear(self):
         # A = f(x) dx0 with a fixed direction: [A, A] = 0
@@ -235,9 +263,7 @@ class TestWedge:
             return np.linalg.inv(gmap(p)) @ (gmap(p + e) - gmap(p - e)) / (2 * h)
 
         A = fc.FormField(1, dim, A_coeff)
-        F = fc.form_sum(
-            [fc.exterior_derivative(A, h), fc.scale_form(0.5, fc.wedge_bracket(A, A))]
-        )
+        F = fc.form_sum([fc.exterior_derivative(A, h), fc.wedge_bracket(A, A)], [1.0, 0.5])
         pts = [0.4 * RNG.standard_normal(dim) for _ in range(4)]
         assert fc.max_coeff(F, pts) < 1e-6
 

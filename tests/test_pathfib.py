@@ -27,7 +27,7 @@ def cutoff():
 @pytest.fixture(scope="module")
 def generic_path():
     xi = sampling.bandlimited_algebra_loop(RNG, N, 2, kmax=3, scale=0.4)
-    return pf.holonomy_path(xi)
+    return pf.higgs_holonomy(xi)
 
 
 class TestCutoff:
@@ -144,14 +144,16 @@ class TestHiggs:
 
 class TestHolonomy:
     def test_zero_loop(self):
-        g, endpoint = pf.higgs_holonomy(np.zeros((N, 2, 2), dtype=complex))
+        hol = pf.higgs_holonomy(np.zeros((N, 2, 2), dtype=complex))
+        g, endpoint = hol.samples, hol.endpoint
         assert np.max(np.abs(g - np.eye(2))) < 1e-14
         assert np.max(np.abs(endpoint - np.eye(2))) < 1e-14
 
     def test_constant_generator(self):
         X = sampling.random_algebra(RNG, 2, 0.8)
         xi = np.broadcast_to(X, (N, 2, 2)).copy()
-        g, endpoint = pf.higgs_holonomy(xi)
+        hol = pf.higgs_holonomy(xi)
+        g, endpoint = hol.samples, hol.endpoint
         theta = lp.grid(N)
         want = np.stack([exponential(t * X) for t in theta])
         assert np.max(np.abs(g - want)) < 1e-10
@@ -159,12 +161,12 @@ class TestHolonomy:
 
     def test_roundtrip(self):
         xi = sampling.bandlimited_algebra_loop(RNG, N, 2, kmax=3, scale=0.5)
-        p = pf.holonomy_path(xi)
+        p = pf.higgs_holonomy(xi)
         assert np.max(np.abs(pf.pf_higgs(p) - xi)) < 1e-8
 
     def test_endpoint_unitary(self):
         xi = sampling.bandlimited_algebra_loop(RNG, N, 2, kmax=3, scale=0.5)
-        _, endpoint = pf.higgs_holonomy(xi)
+        endpoint = pf.higgs_holonomy(xi).endpoint
         assert np.max(np.abs(endpoint @ endpoint.conj().T - np.eye(2))) < 1e-10
 
     def test_holonomy_equivariance(self):
@@ -173,8 +175,8 @@ class TestHolonomy:
         eta = eta - eta[0]
         h = lp.exp_loop(eta)
         moved = lp.loop_inverse(h) @ xi @ h + lp.loop_inverse(h) @ lp.loop_derivative(h)
-        g1, _ = pf.higgs_holonomy(moved)
-        g0, _ = pf.higgs_holonomy(xi)
+        g1 = pf.higgs_holonomy(moved).samples
+        g0 = pf.higgs_holonomy(xi).samples
         assert np.max(np.abs(g1 - g0 @ h)) < 1e-7
 
     @pytest.mark.parametrize("n_samples", [64, 512])
@@ -187,7 +189,8 @@ class TestHolonomy:
         B = np.diag([1j, -1j])
         theta = lp.grid(n_samples)
         xi = np.stack([exponential(-t * B) @ A @ exponential(t * B) + B for t in theta])
-        g, endpoint = pf.higgs_holonomy(xi)
+        hol = pf.higgs_holonomy(xi)
+        g, endpoint = hol.samples, hol.endpoint
         M = pf.MAGNUS_REFINE * n_samples
         tol = (2 * np.pi / M) ** 4 + M * np.finfo(float).eps
         want = np.stack([exponential(t * A) @ exponential(t * B) for t in theta])
@@ -211,7 +214,8 @@ class TestHolonomy:
         monkeypatch.setattr(lp, "exp_loop", recording_exp_loop)
         rng = np.random.default_rng(n_samples)
         xi = sampling.bandlimited_algebra_loop(rng, n_samples, n, kmax=min(3, (n_samples - 1) // 2))
-        g, endpoint = pf.higgs_holonomy(xi)
+        hol = pf.higgs_holonomy(xi)
+        g, endpoint = hol.samples, hol.endpoint
         (prefix,) = steps
         shift = 1
         while shift < len(prefix):
@@ -298,7 +302,7 @@ class TestNablaPhi:
         M = 1024
         cutoff = pf.default_cutoff(M)
         xi = sampling.bandlimited_algebra_loop(RNG, M, 2, kmax=3, scale=0.4)
-        p = pf.holonomy_path(xi)
+        p = pf.higgs_holonomy(xi)
         V = sampling.random_algebra(RNG, 2)
         hX = pf.horizontal_tangent(p, V, cutoff)
         h = 1e-5
@@ -382,7 +386,7 @@ class TestTransgression:
 
     def test_higher_string_matches_tau_k3_su3(self):
         xi = sampling.bandlimited_algebra_loop(RNG, N, 3, kmax=3, scale=0.4)
-        p = pf.holonomy_path(xi)
+        p = pf.higgs_holonomy(xi)
         alpha = pf.default_cutoff(N)
         f = InvariantPolynomial(3, 1.0)
         worst = 0.0

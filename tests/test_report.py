@@ -313,6 +313,20 @@ class TestCLI:
         assert not out.exists()
         assert "lie.bracket.jacobbi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify", "--suite", "lie"],
+                                         ["table", "coefficients", "--kmax", "3"]],
+                             ids=["verify", "table"])
+    def test_unwritable_out_exit_two(self, command, tmp_path, monkeypatch, capsys):
+        def must_not_run(suite):
+            raise AssertionError("checks selected")
+
+        monkeypatch.setattr(rp, "checks_for", must_not_run)
+        out = tmp_path / "missing-dir" / "r.json"
+        code = cli_main(command + ["--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "configuration error" in capsys.readouterr().err
+
     def test_memory_budget_exit_two(self, monkeypatch, capsys):
         # run_suite validates the config before it selects any check
         def must_not_run(suite):
@@ -472,6 +486,7 @@ class TestDiffReports:
         after["checks"][2]["anchor"] = "moved/anchor"
         for report, exc in ((before, "ValueError"), (after, "TypeError")):
             report["checks"][3].update(residual=math.nan, status="error", error=exc)
+        after["config"]["seed"] = before["config"]["seed"] + 1
         proc = self.run_diff(tmp_path, before, after)
         assert proc.returncode == 1
         out = proc.stdout
@@ -480,6 +495,9 @@ class TestDiffReports:
         assert f"tolerance changed: {before['checks'][1]['name']}" in out
         assert f"anchor changed: {before['checks'][2]['name']}" in out
         assert f"error changed: {before['checks'][3]['name']}" in out
+        seed = before["config"]["seed"]
+        assert f"config changed: seed: {seed} -> {seed + 1}" in out
+        assert "6 differences" in out
 
 
 # perfbench/run.py stand-in: starts one child, writes "own child" pids, sleeps
