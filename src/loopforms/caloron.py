@@ -18,7 +18,7 @@ import numpy as np
 from . import formscalc as fc
 from . import loopspace as lp
 from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
-from .liecore import algebra_coordinates, eval_invariant_polynomial, exponential, logarithm
+from .liecore import algebra_coordinates, eval_invariant_polynomial, logarithm
 from .liecore import pontrjagyn_polynomial, sun_basis
 
 
@@ -55,7 +55,7 @@ class ExtendedChart:
 
     def group_point(self, u: np.ndarray) -> np.ndarray:
         x = sum(ui * e for ui, e in zip(u, self.basis))
-        return self.g0 @ exponential(x)
+        return self.g0 @ lp.exp_loop(x)
 
     def maurer_cartan(self, u: np.ndarray) -> np.ndarray:
         """Theta = g^{-1} dg/du_a, (m, n, n), from the chart's memoized ``fc.maurer_cartan``."""

@@ -2,9 +2,11 @@
 
 Algebra elements are anti-Hermitian traceless complex matrices, group
 elements are special unitary matrices, both stored as plain ndarrays.
-The invariant bilinear form is ``<X, Y> = -tr(XY)`` in the defining
-representation; this is the unique normalization for which the su(2)
-coroot ``diag(i, -i)`` has squared length 2.
+Products, brackets, adjoint actions and the exponential are those of
+``loopspace``, which take single matrices and loops alike.  The invariant
+bilinear form is ``<X, Y> = -tr(XY)`` in the defining representation;
+this is the unique normalization for which the su(2) coroot
+``diag(i, -i)`` has squared length 2.
 
 Invariant polynomials are fully symmetrized traces with a scalar
 normalization.  The degree-k symmetrized trace of anti-Hermitian
@@ -19,7 +21,7 @@ from itertools import permutations
 from math import factorial, pi
 
 import numpy as np
-from scipy.linalg import expm as _expm, logm as _logm
+from scipy.linalg import logm as _logm
 
 from .loopspace import loop_product
 
@@ -37,31 +39,12 @@ def _require_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
         raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
 
 
-def bracket(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Commutator [X, Y] = XY - YX."""
-    _require_same_shape(X, Y)
-    return X @ Y - Y @ X
-
-
 def killing(X: np.ndarray, Y: np.ndarray) -> float | np.ndarray:
     """Normalized invariant form <X, Y> = -Re tr(XY), pointwise over leading
     axes: a float for two matrices, an array for two loops."""
     _require_same_shape(X, Y)
     out = np.real(-np.einsum("...ij,...ji->...", X, Y))
     return float(out) if out.ndim == 0 else out
-
-
-def adjoint_group(g: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ad(g) X = g X g^{-1}; uses g^{-1} = g^dagger for unitary g."""
-    _require_same_shape(g, X)
-    return g @ X @ g.conj().T
-
-
-def exponential(X: np.ndarray) -> np.ndarray:
-    """Exponential of one matrix by scipy's Pade: unitary to 2.2e-16 on su(2)
-    against 4.4e-16 for ``loopspace.exp_loop``, which is 5-7x faster on loops
-    and takes every stack of loop values."""
-    return _expm(X)
 
 
 def logarithm(g: np.ndarray) -> np.ndarray:

@@ -133,9 +133,25 @@ def z_map(g: np.ndarray) -> np.ndarray:
 
 
 def exp_loop(xi: np.ndarray) -> np.ndarray:
-    """Pointwise exponential of an anti-Hermitian loop or stack, by ``eigh``
-    of -i xi: unitary to about 2e-15 on a 64-sample loop (``expm`` reaches
-    2e-16 but is 5-7x slower); single matrices use ``liecore.exponential``."""
+    """Pointwise exponential of an (n, n) matrix or (..., n, n) stack, the
+    package's only one.  One 2x2: exp X = e^mu (cos s I + (sin s / s) Y) with
+    mu = tr X / 2, Y = X - mu I, s = sqrt(det Y) in complex arithmetic
+    (Cayley-Hamilton, Y^2 = -s^2 I), exact on every complex 2x2 and never
+    projected, so a non-anti-Hermitian X gives a non-unitary result.  Stacks
+    (for now; ROADMAP item 5) and n >= 3: ``eigh`` of -i xi, which reads one
+    triangle of its input."""
+    if xi.shape == (2, 2):
+        a, b, c, d = xi[..., 0, 0], xi[..., 0, 1], xi[..., 1, 0], xi[..., 1, 1]
+        mu, h = 0.5 * (a + d), 0.5 * (a - d)  # Y = [[h, b], [c, -h]]
+        s = np.sqrt(-(h * h + b * c) + 0j)
+        e = np.exp(mu)
+        e_sinc, e_cos = e * np.sinc(s / np.pi), e * np.cos(s)  # sinc: sin s / s, 1 at 0
+        out = np.empty(xi.shape, dtype=complex)
+        out[..., 0, 0] = e_cos + e_sinc * h
+        out[..., 0, 1] = e_sinc * b
+        out[..., 1, 0] = e_sinc * c
+        out[..., 1, 1] = e_cos - e_sinc * h
+        return out
     w, u = np.linalg.eigh(-1j * xi)
     phases = np.exp(1j * w)
     return np.einsum("...ij,...j,...kj->...ik", u, phases, u.conj())
@@ -229,14 +245,14 @@ def bracket(a, b):
     """[xi, zeta] pointwise; [(xi, x), (zeta, y)] = ([xi, zeta] - x dzeta + y dxi, 0)."""
     if isinstance(a, SemiDirectAlgebraElement):
         xi, zeta = a.loop_part, b.loop_part
-        if xi.shape != zeta.shape:
-            raise ValueError(f"loop shapes differ: {xi.shape} vs {zeta.shape}")
         loop = (
             bracket(xi, zeta)
             - a.circle_part * loop_derivative(zeta)
             + b.circle_part * loop_derivative(xi)
         )
         return SemiDirectAlgebraElement(loop, 0.0)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
     return loop_product(a, b) - loop_product(b, a)
 
 

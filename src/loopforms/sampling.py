@@ -18,7 +18,6 @@ import numpy as np
 from . import formscalc as fc
 from . import loopspace as lp
 from .connections import LGConnectionData, LGxS1ConnectionData
-from .liecore import exponential
 
 
 def rng_for(seed: int, name: str) -> np.random.Generator:
@@ -42,7 +41,7 @@ def _random_algebras(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def random_group(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return exponential(random_algebra(rng, n, scale))
+    return lp.exp_loop(random_algebra(rng, n, scale))
 
 
 @lru_cache(maxsize=32)  # a run draws on a handful of (N, kmax) grids

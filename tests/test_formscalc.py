@@ -9,7 +9,6 @@ from loopforms import formscalc as fc
 from loopforms import loopspace as lp
 from loopforms import sampling
 from loopforms.connections import partial_theta
-from loopforms.liecore import exponential
 from loopforms.loopspace import grid
 
 from helpers import su2_basis, zero_form
@@ -252,7 +251,7 @@ class TestWedge:
         polys = [sampling.random_poly(RNG, dim, 0.6) for _ in range(2)]
 
         def gmap(p):
-            return exponential(sum(f(p) * x for f, x in zip(polys, seeds)))
+            return lp.exp_loop(sum(f(p) * x for f, x in zip(polys, seeds)))
 
         h = 1e-4
 

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from loopforms import liecore, sampling
 from loopforms.liecore import (
     ArityError,
-    DimensionMismatch,
     InvariantPolynomial,
-    adjoint_group,
-    bracket,
     eval_invariant_polynomial,
-    exponential,
     killing,
     sun_basis,
 )
+from loopforms.loopspace import adjoint, bracket, exp_loop
 from loopforms.report import check_ad_invariance_identity
 
 from helpers import is_algebra_element, is_group_element, su2_basis
@@ -65,7 +62,7 @@ class TestBracket:
         assert is_algebra_element(bracket(x, y))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"shapes differ: \(2, 2\) vs \(3, 3\)"):
             bracket(sampling.random_algebra(RNG, 2), sampling.random_algebra(RNG, 3))
 
 
@@ -91,7 +88,7 @@ class TestKilling:
             y = sampling.random_algebra(RNG, 2)
             worst = max(
                 worst,
-                abs(killing(adjoint_group(g, x), adjoint_group(g, y)) - killing(x, y)),
+                abs(killing(adjoint(g, x), adjoint(g, y)) - killing(x, y)),
             )
         assert worst < 1e-10
 
@@ -99,37 +96,37 @@ class TestKilling:
 class TestAdjoint:
     def test_identity(self):
         x = sampling.random_algebra(RNG, 2)
-        assert np.allclose(adjoint_group(np.eye(2, dtype=complex), x), x)
+        assert np.allclose(adjoint(np.eye(2, dtype=complex), x), x)
 
     def test_group_action_inverse(self):
         g = sampling.random_group(RNG, 2)
         x = sampling.random_algebra(RNG, 2)
-        back = adjoint_group(g, adjoint_group(g.conj().T, x))
+        back = adjoint(g, adjoint(g.conj().T, x))
         assert np.max(np.abs(back - x)) < 1e-13
 
     def test_su2_rotation(self):
         # Ad(exp(t X3)) X1 = cos t X1 + sin t X2
         for t in (0.3, 1.2, 2.9):
-            got = adjoint_group(exponential(t * X3), X1)
+            got = adjoint(exp_loop(t * X3), X1)
             want = np.cos(t) * X1 + np.sin(t) * X2
             assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestExponential:
     def test_zero(self):
-        assert np.allclose(exponential(np.zeros((2, 2))), np.eye(2))
+        assert np.allclose(exp_loop(np.zeros((2, 2))), np.eye(2))
 
     def test_inverse(self):
         x = sampling.random_algebra(RNG, 2, 2.0)
-        assert np.max(np.abs(exponential(x) @ exponential(-x) - np.eye(2))) < 1e-13
+        assert np.max(np.abs(exp_loop(x) @ exp_loop(-x) - np.eye(2))) < 1e-13
 
     def test_pi_coroot_is_minus_identity(self):
-        assert np.max(np.abs(exponential(np.pi * H) + np.eye(2))) < 1e-13
+        assert np.max(np.abs(exp_loop(np.pi * H) + np.eye(2))) < 1e-13
 
     def test_unitarity_at_large_norm(self):
         x = sampling.random_algebra(RNG, 2)
         x *= 10.0 / np.linalg.norm(x)
-        g = exponential(x)
+        g = exp_loop(x)
         assert np.max(np.abs(g @ g.conj().T - np.eye(2))) < 1e-12
         assert is_group_element(g, tol=1e-11)
 
@@ -141,7 +138,7 @@ class TestLogarithm:
             g = sampling.random_group(RNG, n)
             L = liecore.logarithm(g)
             assert np.array_equal(L.conj().T, -L)
-            assert np.max(np.abs(exponential(L) - g)) < 1e-13
+            assert np.max(np.abs(exp_loop(L) - g)) < 1e-13
 
 
 class TestInvariantPolynomial:
@@ -168,7 +165,7 @@ class TestInvariantPolynomial:
         f = InvariantPolynomial(3)
         g = sampling.random_group(RNG, 3)
         args = [sampling.random_algebra(RNG, 3) for _ in range(3)]
-        moved = [adjoint_group(g, x) for x in args]
+        moved = [adjoint(g, x) for x in args]
         assert eval_invariant_polynomial(f, moved) == pytest.approx(
             eval_invariant_polynomial(f, args), abs=1e-12
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from loopforms import sampling
 from loopforms.loopspace import (
@@ -444,3 +445,73 @@ class TestCentral:
         # and both are the tangent itself up to O(h^2)
         assert np.max(np.abs(got.loop_part - tangent.loop_part)) < 1e-6
         assert got.circle_part == pytest.approx(tangent.circle_part, abs=1e-10)
+
+
+class TestExpLoop:
+    """One 2x2 (the closed form) against scipy's Pade ``expm``, a reference
+    only the tests use, within c eps max(1, ||X||_2) with c = 8 (1.8 the
+    largest of 5,000 su(2) draws up to norm 12); stacks and n >= 3 against
+    the ``eigh`` formula, bit for bit."""
+
+    EPS = np.finfo(float).eps
+
+    def _assert_matches_expm(self, X, c=8.0):
+        want = np.stack([expm(x) for x in X.reshape(-1, 2, 2)]).reshape(X.shape)
+        scale = max(1.0, np.max(np.linalg.norm(X, 2, axis=(-2, -1))))
+        assert np.max(np.abs(exp_loop(X) - want)) <= c * self.EPS * scale * np.max(np.abs(want))
+
+    def test_single_matrix(self):
+        rng = np.random.default_rng(30)
+        for scale in (0.5, 2.0, 10.0):
+            x = sampling.random_algebra(rng, 2)
+            self._assert_matches_expm(x * scale / np.linalg.norm(x, 2))
+
+    def test_stack(self):
+        # the eigh branch: c = 16 (5.2 the largest of 200 such loops)
+        rng = np.random.default_rng(31)
+        X = sampling.bandlimited_algebra_loop(rng, N, 2, scale=2.0)
+        assert X.shape == (N, 2, 2)
+        self._assert_matches_expm(X, c=16.0)
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(exp_loop(np.zeros((2, 2))), np.eye(2))
+
+    def test_pi_coroot_is_minus_identity(self):
+        H = np.diag([1j, -1j])
+        assert np.max(np.abs(exp_loop(np.pi * H) + np.eye(2))) <= 2 * self.EPS
+        self._assert_matches_expm(np.pi * H)
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-9, 1e-13, 1e-17, 1e-300])
+    def test_near_zero(self, size):
+        # s -> 0: sin s / s is taken without cancellation down to s = 0
+        x = sampling.random_algebra(np.random.default_rng(32), 2)
+        self._assert_matches_expm(size * x / np.linalg.norm(x, 2))
+
+    def test_general_complex_with_trace(self):
+        # the closed form holds on all of gl(2, C): e^mu (cos s I + sinc s Y);
+        # c = 16 (4.3 the largest of 5,000 normal draws)
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
+        assert np.min(np.abs(np.trace(X, axis1=-2, axis2=-1))) > 0.0
+        for x in X:
+            self._assert_matches_expm(x, c=16.0)
+
+    @pytest.mark.parametrize("n,stack", [(2, (N,)), (3, ()), (3, (N,)), (4, ()), (4, (N,))],
+                             ids=["2-stack", "3-single", "3-stack", "4-single", "4-stack"])
+    def test_eigh_branch_bitwise(self, n, stack):
+        rng = np.random.default_rng([34, n])
+        count = int(np.prod(stack))
+        X = np.stack([sampling.random_algebra(rng, n) for _ in range(count)]).reshape(stack + (n, n))
+        w, u = np.linalg.eigh(-1j * X)
+        want = np.einsum("...ij,...j,...kj->...ik", u, np.exp(1j * w), u.conj())
+        assert np.array_equal(exp_loop(X), want)
+
+    def test_hermitian_fault_stays_visible(self):
+        # exp of xi + 1e-3 H with H Hermitian is not unitary; an exponential
+        # that reads one triangle of its input would return a unitary matrix
+        rng = np.random.default_rng(35)
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        bad = sampling.random_algebra(rng, 2) + 1e-3 * (z + z.conj().T)
+        g = exp_loop(bad)
+        assert np.max(np.abs(g @ g.conj().T - np.eye(2))) > 1e-4
+        assert np.max(np.abs(g - expm(bad))) < 1e-14
