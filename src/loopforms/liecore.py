@@ -3,7 +3,8 @@
 Algebra elements are anti-Hermitian traceless complex matrices, group
 elements are special unitary matrices, both stored as plain ndarrays.
 Products, brackets, adjoint actions and the exponential are those of
-``loopspace``, which take single matrices and loops alike.  The invariant
+``loopspace``, which take single matrices and loops alike; the logarithm
+of a group element is ``logarithm`` here, numpy only.  The invariant
 bilinear form is ``<X, Y> = -tr(XY)`` in the defining representation;
 this is the unique normalization for which the su(2) coroot
 ``diag(i, -i)`` has squared length 2.
@@ -21,7 +22,6 @@ from itertools import permutations
 from math import factorial, pi
 
 import numpy as np
-from scipy.linalg import logm as _logm
 
 from .loopspace import loop_product
 
@@ -48,9 +48,20 @@ def killing(X: np.ndarray, Y: np.ndarray) -> float | np.ndarray:
 
 
 def logarithm(g: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a unitary matrix: scipy's, projected onto its
-    exactly anti-Hermitian part."""
-    L = _logm(g)
+    """Principal logarithm of one unitary (n, n) matrix, projected onto its
+    exactly anti-Hermitian part.
+
+    g = V diag(w) V^-1 by ``eig``; L = V diag(log w) V^-1 with the principal
+    log (eigen-angles in (-pi, pi]), and V^-1 applied by ``solve``, not
+    V^H, which would assume orthonormal eigenvectors.  Returns
+    (L - L^H) / 2.  Raises ValueError for a stack or a non-square input.
+    """
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"logarithm takes one square matrix, got shape {g.shape}")
+    w, v = np.linalg.eig(g)
+    # + 0j makes real eigenvalues complex and turns an imaginary -0.0 into
+    # +0.0, so that an eigenvalue -1 has angle pi, never -pi
+    L = np.linalg.solve(v.T, (v * np.log(w + 0j)).T).T
     return 0.5 * (L - L.conj().T)
 
 

@@ -451,6 +451,28 @@ class TestThreadPin:
         assert self.thread_env("import numpy, loopforms") == ["None"] * 3
 
 
+class TestNoScipyAtRuntime:
+    def test_cli_and_logarithm_suites_never_import_scipy(self):
+        """The runtime needs numpy only; pytest has scipy loaded, so a fresh
+        interpreter runs the two suites that take a matrix logarithm."""
+        import os
+
+        code = (
+            "import sys, loopforms, loopforms.cli\n"
+            "from loopforms import report\n"
+            "for suite in ('pathfib', 'caloron'):\n"
+            "    rep = report.run_suite(report.RunConfig(suite=suite))\n"
+            "    assert rep.checks and not [c.name for c in rep.checks if c.status == 'error']\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestDiffReports:
     def run_diff(self, tmp_path, before, after):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
