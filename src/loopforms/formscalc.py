@@ -31,7 +31,8 @@ import numpy as np
 from .liecore import killing
 from .loopspace import bracket, central, circle_integral, left_translate
 
-# Points a 0-form keeps: the 2 dim + 1 points of one d on charts up to dim 7
+# Points a form of degree <= 1 keeps: the 2 dim + 1 points of one d on charts
+# up to dim 7
 STENCIL_POINTS = 16
 
 
@@ -47,10 +48,13 @@ class DegreeError(ValueError):
 class FormField:
     """Degree-q alternating form given by coefficients on increasing tuples.
 
-    ``coeff`` must be pure in (point, idx).  The form keeps the values of
-    the last point it was asked, a 0-form those of the last
-    ``STENCIL_POINTS`` points (see :func:`_memo`).  A 0-form such as a Higgs
-    field or a gauge map is called on a point: ``phi(p)``.
+    ``coeff`` must be pure in (point, idx).  A form of degree <= 1 keeps
+    the values of the last ``STENCIL_POINTS`` points it was asked, a higher
+    form those of the last point (see :func:`_memo`): stencils ask the data
+    forms (Higgs field, gauge map, connection) again and again, while a
+    higher form is asked once per component at each stencil point.  A
+    0-form such as a Higgs field or a gauge map is called on a point:
+    ``phi(p)``.
     """
 
     degree: int
@@ -60,7 +64,7 @@ class FormField:
     def __post_init__(self) -> None:
         if self.degree < 0 or self.dim < 1:
             raise DegreeError(f"bad degree {self.degree} or dim {self.dim}")
-        points = STENCIL_POINTS if self.degree == 0 else 1
+        points = STENCIL_POINTS if self.degree <= 1 else 1
         object.__setattr__(self, "coeff", _memo(self.coeff, points))
 
     def __call__(self, p):

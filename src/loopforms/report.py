@@ -31,6 +31,12 @@ DEFAULT_SEED = 20090622
 # Largest set of live complex loop samples a run may hold, in bytes; larger
 # sizes are refused before anything runs instead of failing inside numpy.
 MEMORY_BUDGET_BYTES = 2 ** 30
+# Most complex (n, n) loops of its own n that a chart check (every suite but
+# pathfib) holds at once.  tracemalloc peaks over what a `suite all` run held
+# before the check, at 512 samples: string.independence 511, string.closed.k3
+# (always n = 3) 452; at 256 samples 542 and 455.  Rounded up by a tenth, which
+# also covers a check run alone with its first-call caches (533 at n = 3).
+CHART_PEAK_LOOPS = 600
 
 
 class ConfigError(ValueError):
@@ -93,13 +99,18 @@ class RunConfig:
             )
 
     def peak_loop_bytes(self) -> int:
-        """Bytes of the largest batch of (n, n) complex loop values: the caloron
-        curvature holds D^2 chart partials (D = 3 base + theta + su(n)
-        directions) on the suite grid, the path-fibration holonomy takes
-        MAGNUS_REFINE * max(4 pathfib_samples, 1024) Magnus steps."""
-        chart = (self.n ** 2 + 3) ** 2 * self.samples
-        holonomy = pathfib.MAGNUS_REFINE * max(4 * self.pathfib_samples, 1024)
-        return 16 * self.n ** 2 * max(chart, holonomy)
+        """Bytes of the most complex loop values a check holds at once.
+
+        A chart check holds up to CHART_PEAK_LOOPS loops of its own n on the
+        suite grid; that n is the run's, or 3 for string.closed.k3.  The
+        caloron curvature's D^2 chart partials and D(D-1)/2 components
+        (D = 3 base + theta + su(n) directions) stay under 2 D^2 loops, which
+        passes CHART_PEAK_LOOPS from n = 4 on.  The path-fibration holonomy
+        takes MAGNUS_REFINE * max(4 pathfib_samples, 1024) Magnus steps."""
+        D = self.n ** 2 + 3
+        chart = max(CHART_PEAK_LOOPS * max(self.n, 3) ** 2, 2 * D ** 2 * self.n ** 2)
+        holonomy = pathfib.MAGNUS_REFINE * max(4 * self.pathfib_samples, 1024) * self.n ** 2
+        return 16 * max(chart * self.samples, holonomy)
 
 
 @dataclass(frozen=True)

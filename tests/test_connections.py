@@ -456,6 +456,24 @@ class TestChartMaps:
             nabla.coeff(p, (i,))
         assert len(calls) == len(set(calls)) == 2 * dim + 1
 
+    def test_connection_runs_once_per_stencil_point(self):
+        # F and nabla Phi ask A at the points of one stencil again and again
+        rng = np.random.default_rng(43)
+        dim = 3
+        A = sampling.random_loop_one_form(rng, dim, N, 2)
+        calls = []
+
+        def raw(p, idx):
+            calls.append((np.asarray(p).tobytes(), tuple(idx)))
+            return A.coeff(p, idx)
+
+        phi = sampling.random_higgs_field(rng, dim, N, 2)
+        c = cn.LGConnectionData(fc.FormField(1, dim, raw), phi, dim, N, 2)
+        p = 0.3 * rng.standard_normal(dim)
+        fc.max_coeff(cn.curvature(c).F, [p])
+        fc.max_coeff(cn.covariant_higgs(c), [p])
+        assert len(calls) == len(set(calls))
+
     @pytest.mark.parametrize("twisted", [False, True])
     def test_gauge_transform_exp_loops(self, monkeypatch, twisted):
         rng = np.random.default_rng(37)

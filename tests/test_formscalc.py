@@ -403,18 +403,18 @@ class TestMemo:
         return raw, calls
 
     def test_repeat_is_computed_once_and_new_point_again(self):
-        raw, calls = self.counted(lambda p, idx: p[idx[0]] * np.ones(2))
-        form = fc.FormField(1, 2, raw)
-        p = np.array([0.5, 2.0])
+        raw, calls = self.counted(lambda p, idx: p[idx[0]] * p[idx[1]] * np.ones(2))
+        form = fc.FormField(2, 3, raw)
+        p = np.array([0.5, 2.0, 3.0])
         for _ in range(3):
-            form.coeff(p, (1,))
-        form.coeff(p.copy(), [1])
+            form.coeff(p, (1, 2))
+        form.coeff(p.copy(), [1, 2])
         assert len(calls) == 1
-        form.coeff(p, (0,))
+        form.coeff(p, (0, 1))
         assert len(calls) == 2
-        np.testing.assert_array_equal(form.coeff(p + 1.0, (1,)), [3.0, 3.0])
+        np.testing.assert_array_equal(form.coeff(p + 1.0, (1, 2)), [12.0, 12.0])
         assert len(calls) == 3
-        form.coeff(p, (1,))  # the new point dropped the old values
+        form.coeff(p, (1, 2))  # a 2-form keeps one point: the new one dropped p
         assert len(calls) == 4
 
     def test_returned_array_is_read_only(self):
@@ -478,6 +478,17 @@ class TestMemo:
         phi(np.array([float(fc.STENCIL_POINTS)]))  # the newest is still kept
         assert len(calls) == fc.STENCIL_POINTS + 1
         phi(np.array([0.0]))  # the earliest was dropped
+        assert len(calls) == fc.STENCIL_POINTS + 2
+
+    def test_one_form_keeps_a_stencil_of_points(self):
+        raw, calls = self.counted(lambda p, idx: float(p[0]))
+        A = fc.FormField(1, 1, raw)
+        for k in range(fc.STENCIL_POINTS + 1):
+            A.coeff(np.array([float(k)]), (0,))
+        for k in range(1, fc.STENCIL_POINTS + 1):
+            assert A.coeff(np.array([float(k)]), (0,)) == k
+        assert len(calls) == fc.STENCIL_POINTS + 1
+        A.coeff(np.array([0.0]), (0,))  # the earliest was dropped
         assert len(calls) == fc.STENCIL_POINTS + 2
 
     def test_zero_form_value_is_read_only(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from loopforms import report as rp
+from loopforms import report as rp, sampling
 from loopforms.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,6 +73,25 @@ class TestRunSuite:
         monkeypatch.setattr(rp, "MEMORY_BUDGET_BYTES", cfg.peak_loop_bytes() - 1)
         with pytest.raises(rp.ConfigError, match="budget"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "name", ["string.independence", "string.closed.k3", "string.gauge_invariance_twisted"]
+    )
+    def test_memory_budget_covers_traced_peak(self, name):
+        # the heaviest chart checks, at n = 3 where every check counts in
+        # loops of its own n
+        import tracemalloc
+
+        cfg = rp.RunConfig(n=3, samples=256)
+        (check,) = [c for c in rp.checks_for("all") if c.name == name]
+        rng = sampling.rng_for(cfg.seed, name)
+        tracemalloc.start()
+        try:
+            check.run(cfg, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.peak_loop_bytes()
 
     def test_lie_suite_passes(self, lie_report):
         assert lie_report.all_passed
