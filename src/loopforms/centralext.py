@@ -29,8 +29,8 @@ from . import loopspace as lp
 from .connections import (
     LGxS1ConnectionData,
     curvature,
+    dA_dtheta,
     gauge_transform,
-    partial_theta,
     string_form,
 )
 from .liecore import killing
@@ -81,10 +81,6 @@ def _flow(point, tangent, t: float):
     else:
         step = lp.exp_loop(t * tangent)
     return lp.multiply(point, step)
-
-
-def _flow_tuple(points, tangents, t):
-    return tuple(_flow(p, tan, t) for p, tan in zip(points, tangents))
 
 
 def nerve_faces(length: int):
@@ -148,11 +144,15 @@ def _r_eval(points, tans_x, tans_y) -> float:
 
 def d_alpha(points, tans_x, tans_y, h: float = FD_STEP) -> float:
     """Exterior derivative of alpha on left-invariant extensions:
-    d alpha(X, Y) = (1/2)(X(alpha(Y)) - Y(alpha(X)) - alpha([X, Y]))."""
+    d alpha(X, Y) = (1/2)(X(alpha(Y)) - Y(alpha(X)) - alpha([X, Y])).
+
+    alpha at (g_1, g_2) on (xi_1, xi_2) reads only g_2 and xi_1, so a
+    directional derivative flows the second group slot alone."""
+    g1, g2 = points
 
     def directional(tans_flow, tans_eval):
-        plus = alpha_form(_flow_tuple(points, tans_flow, h), tans_eval)
-        minus = alpha_form(_flow_tuple(points, tans_flow, -h), tans_eval)
+        plus = alpha_form((g1, _flow(g2, tans_flow[1], h)), tans_eval)
+        minus = alpha_form((g1, _flow(g2, tans_flow[1], -h)), tans_eval)
         return lp.central(plus, minus, h)
 
     bracket = tuple(lp.bracket(x, y) for x, y in zip(tans_x, tans_y))
@@ -236,7 +236,7 @@ def curving_direct(c) -> fc.FormField:
     if isinstance(c, LGxS1ConnectionData):
         lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)], [1.0, 0.5])
     inner = fc.form_sum(
-        [fc.wedge_pair(c.A, partial_theta(c.A)), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
+        [fc.wedge_pair(c.A, dA_dtheta(c)), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
     )
     return fc.form_sum([fc.integrate_loop_form(inner)], [1.0 / (2.0 * pi)])
 

@@ -10,6 +10,7 @@ compatibility checks rather than transition-function atlases.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import pi
 from typing import Callable
 
@@ -20,15 +21,45 @@ from . import loopspace as lp
 from .liecore import InvariantPolynomial, eval_invariant_polynomial
 
 
-class _HiggsChart:
-    """Takes Phi as a 0-form; a plain callable p -> Phi(p) is wrapped into one."""
+class _ConnectionChart:
+    """Takes Phi as a 0-form; a plain callable p -> Phi(p) is wrapped into one.
+
+    The forms derived from the data (dA/dtheta, F and nabla Phi) are built
+    on first use and kept on the object, so every string form, cylinder and
+    curving of one connection shares them and their memos.  A changed
+    connection (``gauge_transform``, ``dataclasses.replace``) is a new
+    object and builds its own.
+    """
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", fc.chart_function(self.phi, self.dim))
 
+    @cached_property
+    def _A_theta(self) -> fc.FormField:
+        return partial_theta(self.A)
+
+    @cached_property
+    def _curvature(self) -> CurvaturePair:
+        dA = fc.exterior_derivative(self.A, self.fd_step)
+        AA = fc.half_bracket(self.A)
+        if not isinstance(self, LGxS1ConnectionData):
+            return CurvaturePair(F=fc.form_sum([dA, AA]))
+        twist = fc.wedge_scalar(self.a, self._A_theta)
+        F = fc.form_sum([dA, AA, twist], [1.0, 1.0, -1.0])
+        return CurvaturePair(F=F, f=fc.exterior_derivative(self.a, self.fd_step))
+
+    @cached_property
+    def _covariant_higgs(self) -> fc.FormField:
+        terms = [fc.exterior_derivative(self.phi, self.fd_step),
+                 fc.wedge_bracket(self.A, self.phi), self._A_theta]
+        if not isinstance(self, LGxS1ConnectionData):
+            return fc.form_sum(terms, [1.0, 1.0, -1.0])
+        twist = fc.wedge_scalar(self.a, partial_theta(self.phi))
+        return fc.form_sum(terms + [twist], [1.0, 1.0, -1.0, -1.0])
+
 
 @dataclass(frozen=True)
-class LGConnectionData(_HiggsChart):
+class LGConnectionData(_ConnectionChart):
     """Chart data (A, Phi) of a loop-group bundle connection."""
 
     A: fc.FormField
@@ -40,7 +71,7 @@ class LGConnectionData(_HiggsChart):
 
 
 @dataclass(frozen=True)
-class LGxS1ConnectionData(_HiggsChart):
+class LGxS1ConnectionData(_ConnectionChart):
     """Chart data (A, a, Phi) of a rotation-extended loop-group connection."""
 
     A: fc.FormField
@@ -65,27 +96,22 @@ def partial_theta(form: fc.FormField) -> fc.FormField:
     )
 
 
+def dA_dtheta(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
+    """dA/dtheta of connection data, built once per connection."""
+    return c._A_theta
+
+
 def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
     """F = dA + (1/2)[A, A]; for LG x| S1 data
-    (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da)."""
-    dA = fc.exterior_derivative(c.A, c.fd_step)
-    AA = fc.wedge_bracket(c.A, c.A)
-    if not isinstance(c, LGxS1ConnectionData):
-        return CurvaturePair(F=fc.form_sum([dA, AA], [1.0, 0.5]))
-    twist = fc.wedge_scalar(c.a, partial_theta(c.A))
-    F = fc.form_sum([dA, AA, twist], [1.0, 0.5, -1.0])
-    return CurvaturePair(F=F, f=fc.exterior_derivative(c.a, c.fd_step))
+    (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da).  Built once per
+    connection."""
+    return c._curvature
 
 
 def covariant_higgs(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
     """nabla Phi = dPhi + [A, Phi] - dA/dtheta; for LG x| S1 data also
-    - a dPhi/dtheta."""
-    terms = [fc.exterior_derivative(c.phi, c.fd_step), fc.wedge_bracket(c.A, c.phi),
-             partial_theta(c.A)]
-    if not isinstance(c, LGxS1ConnectionData):
-        return fc.form_sum(terms, [1.0, 1.0, -1.0])
-    twist = fc.wedge_scalar(c.a, partial_theta(c.phi))
-    return fc.form_sum(terms + [twist], [1.0, 1.0, -1.0, -1.0])
+    - a dPhi/dtheta.  Built once per connection."""
+    return c._covariant_higgs
 
 
 def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:

@@ -195,6 +195,18 @@ def wedge_bracket(A: FormField, B: FormField) -> FormField:
     return poly_wedge([A, B], lambda v: bracket(v[0], v[1]))
 
 
+def half_bracket(A: FormField) -> FormField:
+    """(1/2)[A, A] of a 1-form: one [A_i, A_j] per pair i < j.
+
+    Bit for bit (1/2) ``wedge_bracket(A, A)``, which computes [A_i, A_j]
+    and [A_j, A_i]: IEEE subtraction is exactly antisymmetric, so their
+    difference is exactly twice the first.
+    """
+    if A.degree != 1:
+        raise DegreeError(f"(1/2)[A, A] takes a 1-form, not degree {A.degree}")
+    return FormField(2, A.dim, lambda p, idx: bracket(A.coeff(p, idx[:1]), A.coeff(p, idx[1:])))
+
+
 def wedge_pair(A: FormField, B: FormField) -> FormField:
     """Killing-paired wedge; loop-valued inputs give loop-real coefficients."""
     return poly_wedge([A, B], lambda v: killing(v[0], v[1]))

@@ -37,6 +37,10 @@ MEMORY_BUDGET_BYTES = 2 ** 30
 # (always n = 3) 452; at 256 samples 542 and 455.  Rounded up by a tenth, which
 # also covers a check run alone with its first-call caches (533 at n = 3).
 CHART_PEAK_LOOPS = 600
+# Most complex (n, n) loops of the run's n that a lie or loops check holds at
+# once: tracemalloc peaks of at most 13.2 (loops.semidirect.adjoint_homomorphism)
+# at n = 2, 3 and 4 and 64 to 16384 samples, rounded up by a tenth.
+LOOP_CHECK_PEAK_LOOPS = 15
 
 
 class ConfigError(ValueError):
@@ -99,18 +103,27 @@ class RunConfig:
             )
 
     def peak_loop_bytes(self) -> int:
-        """Bytes of the most complex loop values a check holds at once.
+        """Bytes of the most complex loop values a check of the selected
+        suite holds at once; for ``all``, the largest over the suites.
 
-        A chart check holds up to CHART_PEAK_LOOPS loops of its own n on the
-        suite grid; that n is the run's, or 3 for string.closed.k3.  The
-        caloron curvature's D^2 chart partials and D(D-1)/2 components
-        (D = 3 base + theta + su(n) directions) stay under 2 D^2 loops, which
-        passes CHART_PEAK_LOOPS from n = 4 on.  The path-fibration holonomy
-        takes MAGNUS_REFINE * max(4 pathfib_samples, 1024) Magnus steps."""
+        A chart check (caloron, centralext, forms, string) holds up to
+        CHART_PEAK_LOOPS loops of its own n on the suite grid; that n is the
+        run's, or 3 for string.closed.k3.  The caloron curvature's D^2 chart
+        partials and D(D-1)/2 components (D = 3 base + theta + su(n)
+        directions) stay under 2 D^2 loops, which passes CHART_PEAK_LOOPS
+        from n = 4 on.  A lie or loops check holds LOOP_CHECK_PEAK_LOOPS.
+        The path-fibration holonomy takes MAGNUS_REFINE * max(4
+        pathfib_samples, 1024) Magnus steps."""
         D = self.n ** 2 + 3
         chart = max(CHART_PEAK_LOOPS * max(self.n, 3) ** 2, 2 * D ** 2 * self.n ** 2)
-        holonomy = pathfib.MAGNUS_REFINE * max(4 * self.pathfib_samples, 1024) * self.n ** 2
-        return 16 * max(chart * self.samples, holonomy)
+        loop_check = LOOP_CHECK_PEAK_LOOPS * self.n ** 2 * self.samples
+        loops = {
+            "lie": loop_check,
+            "loops": loop_check,
+            "pathfib": pathfib.MAGNUS_REFINE * max(4 * self.pathfib_samples, 1024) * self.n ** 2,
+        }
+        suites = SUITES if self.suite == "all" else [self.suite]
+        return 16 * max(loops.get(suite, chart * self.samples) for suite in suites)
 
 
 @dataclass(frozen=True)
@@ -472,7 +485,7 @@ def _forms_pure_gauge(cfg: RunConfig, rng) -> float:
 
     h = 1e-4
     A = fc.maurer_cartan(fc.chart_function(gmap, dim), h)
-    F = fc.form_sum([fc.exterior_derivative(A, h), fc.wedge_bracket(A, A)], [1.0, 0.5])
+    F = fc.form_sum([fc.exterior_derivative(A, h), fc.half_bracket(A)])
     pts = sampling.random_chart_points(rng, dim, 4)
     return fc.max_coeff(F, pts)
 

@@ -58,14 +58,23 @@ def _trig_table(N: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
 def bandlimited_algebra_loop(
     rng: np.random.Generator, N: int, n: int, kmax: int = 3, scale: float = 0.5
 ) -> np.ndarray:
-    # draw order: the cos-0 element, then the cos-k, sin-k pair for each k
-    x = _random_algebras(rng, 2 * kmax + 1, n)
+    return _bandlimited_algebra_loops(rng, 1, N, n, kmax, scale)[0]
+
+
+def _bandlimited_algebra_loops(
+    rng: np.random.Generator, m: int, N: int, n: int, kmax: int, scale: float
+) -> np.ndarray:
+    """m draws of ``bandlimited_algebra_loop`` as one (m, N, n, n) stack,
+    from one normal draw: the same stream, and the same values bit for bit,
+    as m separate calls."""
+    # draw order per loop: the cos-0 element, then the cos-k, sin-k pair for each k
+    x = _random_algebras(rng, m * (2 * kmax + 1), n).reshape(m, 2 * kmax + 1, n, n)
     cos, sin = _trig_table(N, kmax)
-    out = np.zeros((N, n, n), dtype=complex)
-    out += cos[0][:, None, None] * x[0]
+    out = np.zeros((m, N, n, n), dtype=complex)
+    out += cos[0][:, None, None] * x[:, None, 0]
     for k in range(1, kmax + 1):
-        out += cos[k][:, None, None] * x[2 * k - 1]
-        out += sin[k][:, None, None] * x[2 * k]
+        out += cos[k][:, None, None] * x[:, None, 2 * k - 1]
+        out += sin[k][:, None, None] * x[:, None, 2 * k]
     return scale * out / (kmax + 1)
 
 
@@ -94,10 +103,9 @@ def random_loop_one_form(
     poly/loop terms, scaled by 0.6."""
     terms = 2
     polys = [[random_poly(rng, dim) for _ in range(terms)] for _ in range(dim)]
-    loops = [
-        [bandlimited_algebra_loop(rng, N, n, kmax, 1.0) for _ in range(terms)]
-        for _ in range(dim)
-    ]
+    loops = _bandlimited_algebra_loops(rng, dim * terms, N, n, kmax, 1.0).reshape(
+        dim, terms, N, n, n
+    )
 
     def coeff(p, idx):
         (i,) = idx
@@ -124,7 +132,7 @@ def random_higgs_field(rng: np.random.Generator, dim: int, N: int, n: int) -> fc
     two terms with kmax = 3."""
     terms = 2
     polys = [random_poly(rng, dim) for _ in range(terms)]
-    loops = [bandlimited_algebra_loop(rng, N, n, 3, 1.0) for _ in range(terms)]
+    loops = _bandlimited_algebra_loops(rng, terms, N, n, 3, 1.0)
 
     def phi(p, idx):
         out = np.zeros((N, n, n), dtype=complex)
@@ -157,7 +165,7 @@ def random_gauge_loop(rng: np.random.Generator, dim: int, N: int, n: int) -> fc.
     0-form: two terms, polynomials scaled by 0.5, loops with kmax = 2."""
     terms = 2
     polys = [random_poly(rng, dim, scale=0.5) for _ in range(terms)]
-    loops = [bandlimited_algebra_loop(rng, N, n, 2, 1.0) for _ in range(terms)]
+    loops = _bandlimited_algebra_loops(rng, terms, N, n, 2, 1.0)
 
     def sigma(p, idx):
         acc = np.zeros((N, n, n), dtype=complex)

@@ -159,6 +159,35 @@ class TestSimplicial:
             worst = max(worst, ce.d_alpha_vs_delta_r(pts, tx, ty))
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("point_tangent", [lg_point_tangent, sd_point_tangent])
+    def test_d_alpha_flows_the_second_slot_only(self, monkeypatch, point_tangent):
+        # alpha reads g_2 and xi_1 only: four exponentials, where flowing
+        # both slots took eight, and bit for bit the all-slot derivative
+        pts, tx = point_tangent(2)
+        _, ty = point_tangent(2)
+        h = ce.FD_STEP
+
+        def directional(tans_flow, tans_eval):
+            plus = ce.alpha_form(_flow_all(pts, tans_flow, h), tans_eval)
+            minus = ce.alpha_form(_flow_all(pts, tans_flow, -h), tans_eval)
+            return lp.central(plus, minus, h)
+
+        bracket = tuple(lp.bracket(x, y) for x, y in zip(tx, ty))
+        want = 0.5 * (
+            directional(tx, ty) - directional(ty, tx) - ce.alpha_form(pts, bracket)
+        )
+        count = [0]
+        exp_loop = lp.exp_loop
+
+        def counted(xi):
+            count[0] += 1
+            return exp_loop(xi)
+
+        monkeypatch.setattr(lp, "exp_loop", counted)
+        got = ce.d_alpha(pts, tx, ty)
+        assert count[0] == 4
+        assert got.hex() == want.hex()
+
     def test_semidirect_needs_correction_term(self):
         # without the -(1/2) mu Z term, d(alpha) != delta R: make sure the
         # correction is doing real work on probes with circle parts
@@ -171,12 +200,8 @@ class TestSimplicial:
 
         def directional(tans_flow, tans_eval):
             h = ce.FD_STEP
-            plus = alpha_uncorrected(
-                ce._flow_tuple(pts, tans_flow, h), tans_eval
-            )
-            minus = alpha_uncorrected(
-                ce._flow_tuple(pts, tans_flow, -h), tans_eval
-            )
+            plus = alpha_uncorrected(_flow_all(pts, tans_flow, h), tans_eval)
+            minus = alpha_uncorrected(_flow_all(pts, tans_flow, -h), tans_eval)
             return (plus - minus) / (2 * h)
 
         bracket = tuple(lp.bracket(x, y) for x, y in zip(tx, ty))
@@ -393,6 +418,11 @@ def _textbook_face(i, points):
     return points[: i - 1] + (merged,) + points[i + 1 :]
 
 
+def _flow_all(points, tangents, t):
+    """Every slot moved along its exponential curve to time t."""
+    return tuple(ce._flow(p, tan, t) for p, tan in zip(points, tangents))
+
+
 def _push_all_slots(i, points, tangents, h):
     """Reference push: flow every slot (zero tangents on all but one) for
     every slot, difference every output component, sum over slots."""
@@ -406,8 +436,8 @@ def _push_all_slots(i, points, tangents, h):
     total = None
     for s in range(len(points)):
         tan = tuple(t if j == s else zero(t) for j, t in enumerate(tangents))
-        plus = _textbook_face(i, ce._flow_tuple(points, tan, h))
-        minus = _textbook_face(i, ce._flow_tuple(points, tan, -h))
+        plus = _textbook_face(i, _flow_all(points, tan, h))
+        minus = _textbook_face(i, _flow_all(points, tan, -h))
         delta = tuple(
             lp.left_translate(b, lp.central(p, q, h)) for b, p, q in zip(base, plus, minus)
         )

@@ -474,6 +474,62 @@ class TestChartMaps:
         fc.max_coeff(cn.covariant_higgs(c), [p])
         assert len(calls) == len(set(calls))
 
+    @staticmethod
+    def connection_and_gauge(rng, dim, twisted):
+        if twisted:
+            c = sampling.random_lgxs1_connection(rng, dim, N, 2)
+            return c, sampling.random_semidirect_gauge(rng, dim, N, 2)
+        c = sampling.random_lg_connection(rng, dim, N, 2)
+        return c, sampling.random_gauge_loop(rng, dim, N, 2)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_derived_forms_built_once_per_connection(self, twisted):
+        c, sigma = self.connection_and_gauge(np.random.default_rng(47), 3, twisted)
+        for derived in (cn.curvature, cn.covariant_higgs, cn.dA_dtheta):
+            assert derived(c) is derived(c)
+        ct = cn.gauge_transform(c, sigma)
+        for derived in (cn.curvature, cn.covariant_higgs, cn.dA_dtheta):
+            assert derived(ct) is derived(ct)
+            assert derived(ct) is not derived(c)
+        assert cn.curvature(replace(c, fd_step=1e-3)) is not cn.curvature(c)
+
+    def test_twisted_f_and_nabla_share_dA_dtheta(self, monkeypatch):
+        # the twists a ^ dA/dtheta of F and dA/dtheta of nabla Phi take one
+        # loop derivative per component of A, plus one for dPhi/dtheta
+        rng = np.random.default_rng(53)
+        dim = 3
+        c = sampling.random_lgxs1_connection(rng, dim, N, 2)
+        count = [0]
+        loop_derivative = lp.loop_derivative
+
+        def counted(s):
+            count[0] += 1
+            return loop_derivative(s)
+
+        monkeypatch.setattr(lp, "loop_derivative", counted)
+        p = 0.3 * rng.standard_normal(dim)
+        fc.max_coeff(cn.curvature(c).F, [p])
+        fc.max_coeff(cn.covariant_higgs(c), [p])
+        assert count[0] == dim + 1
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_curvature_brackets_once_per_pair(self, monkeypatch, twisted):
+        dim = 4
+        c, _ = self.connection_and_gauge(np.random.default_rng(59), dim, twisted)
+        count = [0]
+        bracket = fc.bracket
+
+        def counted(a, b):
+            count[0] += 1
+            return bracket(a, b)
+
+        monkeypatch.setattr(fc, "bracket", counted)
+        F = cn.curvature(c).F
+        for p in sampling.random_chart_points(np.random.default_rng(61), dim, 2):
+            for ij in combinations(range(dim), 2):
+                F.coeff(p, ij)
+        assert count[0] == 2 * dim * (dim - 1) // 2
+
     @pytest.mark.parametrize("twisted", [False, True])
     def test_gauge_transform_exp_loops(self, monkeypatch, twisted):
         rng = np.random.default_rng(37)

@@ -202,6 +202,25 @@ class TestWedge:
         )
         assert np.max(np.abs(np.asarray(got) - want)) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_half_bracket_is_half_wedge_bracket_bitwise(self, n, dim):
+        rng = np.random.default_rng([n, dim])
+        A = sampling.random_loop_one_form(rng, dim, 16, n)
+        half, full = fc.half_bracket(A), fc.wedge_bracket(A, A)
+        assert (half.degree, half.dim) == (2, dim)
+        for p in sampling.random_chart_points(rng, dim, 3):
+            for ij in combinations(range(dim), 2):
+                assert half.coeff(p, ij).tobytes() == (0.5 * full.coeff(p, ij)).tobytes()
+
+    def test_half_bracket_takes_only_a_one_form(self):
+        dim = 3
+        A = sampling.random_loop_one_form(RNG, dim, 8, 2)
+        phi = sampling.random_higgs_field(RNG, dim, 8, 2)
+        for form in (phi, fc.exterior_derivative(A)):
+            with pytest.raises(fc.DegreeError):
+                fc.half_bracket(form)
+
     def test_pair_convention(self):
         # A = xi dx0, B = zeta dx1: <A ^ B>(e0, e1) = (1/2) <xi, zeta>
         dim = 2

@@ -74,6 +74,24 @@ class TestRunSuite:
         with pytest.raises(rp.ConfigError, match="budget"):
             cfg.validate()
 
+    def test_memory_budget_per_suite(self):
+        # lie and loops hold a handful of loops; validation only, nothing runs
+        for suite in ("lie", "loops", "pathfib"):
+            rp.RunConfig(suite=suite, samples=16384).validate()
+        for suite in ("string", "caloron", "centralext", "forms", "all"):
+            with pytest.raises(rp.ConfigError, match="budget"):
+                rp.RunConfig(suite=suite, samples=16384).validate()
+
+    @pytest.mark.parametrize(
+        "n, samples, pathfib_samples, want",
+        [(2, 64, 256, 5_529_600), (2, 64, 4096, 8_388_608), (3, 128, 256, 11_059_200),
+         (4, 64, 256, 11_829_248), (5, 1000, 4, 627_200_000)],
+    )
+    def test_memory_budget_of_all_is_the_largest_suite(self, n, samples, pathfib_samples, want):
+        sizes = dict(n=n, samples=samples, pathfib_samples=pathfib_samples)
+        assert rp.RunConfig(**sizes).peak_loop_bytes() == want
+        assert want == max(rp.RunConfig(suite=s, **sizes).peak_loop_bytes() for s in rp.SUITES)
+
     @pytest.mark.parametrize(
         "name", ["string.independence", "string.closed.k3", "string.gauge_invariance_twisted"]
     )
@@ -490,6 +508,17 @@ class TestNoScipyAtRuntime:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestLoopRepeats:
+    def test_forms_suite_smoke(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "loop_repeats.py"), "--suite", "forms"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "forms.pure_gauge_flat" in proc.stdout
+        assert "5 checks, all passed" in proc.stdout
 
 
 class TestDiffReports:

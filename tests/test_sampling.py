@@ -34,6 +34,16 @@ class TestBatchedDraws:
             assert got.tobytes() == want.tobytes()
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
+    @pytest.mark.parametrize("m, N, n, kmax", [(1, 16, 2, 3), (4, 64, 2, 3), (6, 32, 3, 2), (3, 8, 4, 0)])
+    def test_batched_loops_bitwise_equal_to_single_draws(self, m, N, n, kmax):
+        seed = [m, N, n, kmax]
+        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sampling._bandlimited_algebra_loops(rng_new, m, N, n, kmax, 1.0)
+        assert got.shape == (m, N, n, n)
+        for loop in got:
+            assert loop.tobytes() == _reference_loop(rng_ref, N, n, kmax, 1.0).tobytes()
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_single_draw_bitwise_equal(self, n):
         rng_new, rng_ref = np.random.default_rng(n), np.random.default_rng(n)
