@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Count loop operations repeated on bitwise-equal inputs within a check.
 
-    python scripts/loop_repeats.py [--suite S] [--seed N] [--top K]
+    python scripts/loop_repeats.py [--suite S] [--check NAME] [--seed N] [--top K]
 
 Wraps ``loopspace.loop_product``, ``loop_derivative``, ``exp_loop`` and
 ``resample`` from outside, on ``loopspace`` and on every loopforms module
@@ -11,6 +11,9 @@ and bytes, and every other argument) equal those of an earlier call of
 the same function in the same check.  Prints the calls and repeats of
 each function per check, a total row, and the ``--top`` call sites with
 the most repeats, a site being the nearest caller outside ``loopspace``.
+``--check NAME`` runs that one check of the suite alone, so the table and
+the sites are its own; each check draws from a generator of its own, so
+its figures are those it has in the full run.
 
 ``coeff_repeats.py`` counts repeats within one form object's memo, so it
 cannot see two forms that compute the same thing; this count can.
@@ -48,9 +51,10 @@ def _key(args) -> bytes:
 
 
 def _site() -> str:
-    """module.function:line of the nearest caller outside loopspace and this script."""
+    """module.function:line of the nearest caller outside loopspace, functools
+    (a ``cached_property`` of a loopspace element) and this script."""
     frame = sys._getframe(2)
-    while frame.f_globals.get("__name__") in ("loopforms.loopspace", __name__):
+    while frame.f_globals.get("__name__") in ("loopforms.loopspace", "functools", __name__):
         frame = frame.f_back
     module = frame.f_globals.get("__name__", "?").rpartition(".")[2]
     code = frame.f_code
@@ -67,6 +71,7 @@ class Repeats:
 
     def begin(self, check: str) -> None:
         self.check = check
+        self.calls.setdefault(check, Counter())  # a row even without loop calls
         self._seen.clear()
 
     def wrap(self, name: str, fn):
@@ -82,9 +87,10 @@ class Repeats:
 
         return counted
 
-    def install(self) -> None:
+    def install(self, only: str | None = None) -> None:
         """Rebind the wrappers wherever the functions are bound, and scope
-        the counts to each check that ``run_suite`` takes."""
+        the counts to each check that ``run_suite`` takes (only the check
+        named ``only``, if given)."""
         for name in FUNCTIONS:
             original = getattr(lp, name)
             wrapped = self.wrap(name, original)
@@ -102,18 +108,23 @@ class Repeats:
 
             return check._replace(run=run)
 
-        rp.checks_for = lambda suite: [scoped(c) for c in checks_for(suite)]
+        rp.checks_for = lambda suite: [
+            scoped(c) for c in checks_for(suite) if only is None or c.name == only
+        ]
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--suite", default="all", choices=[*sorted(rp.SUITES), "all"])
+    ap.add_argument("--check", help="run only this check of the suite")
     ap.add_argument("--seed", type=int, default=rp.DEFAULT_SEED)
     ap.add_argument("--top", type=int, default=15, help="call sites to list")
     args = ap.parse_args()
+    if args.check is not None and args.check not in {c.name for c in rp.checks_for(args.suite)}:
+        ap.error(f"no check {args.check!r} in suite {args.suite}")
 
     counts = Repeats()
-    counts.install()
+    counts.install(args.check)
     rep = rp.run_suite(rp.RunConfig(suite=args.suite, seed=args.seed))
 
     names = sorted(counts.calls)

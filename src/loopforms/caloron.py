@@ -18,14 +18,18 @@ import numpy as np
 from . import formscalc as fc
 from . import loopspace as lp
 from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
-from .liecore import algebra_coordinates, eval_invariant_polynomial, logarithm
+from .liecore import algebra_coordinates, logarithm
 from .liecore import pontrjagyn_polynomial, sun_basis
 
 
 @dataclass(frozen=True)
 class ExtendedChart:
     """Base chart + periodic theta + exponential group coordinates at g0,
-    taken in the basis ``sun_basis(n)``."""
+    taken in the basis ``sun_basis(n)``.  ``group_map`` is ``group_point``
+    as a 0-form: callers ask it, not ``group_point``, so g(u) is computed
+    once per point.  It keeps the 1 + 2m + 2m^2 points (m = group_dim) of a
+    central difference of the Maurer-Cartan form, itself a central
+    difference of ``group_map``, as ``g_curvature_components`` takes it."""
 
     base_dim: int
     N: int
@@ -37,7 +41,9 @@ class ExtendedChart:
         object.__setattr__(self, "basis", sun_basis(self.n))
         if self.g0 is None:
             object.__setattr__(self, "g0", np.eye(self.n, dtype=complex))
-        group_map = fc.chart_function(self.group_point, len(self.basis))
+        m = len(self.basis)
+        group_map = fc.chart_function(self.group_point, m, keep=1 + 2 * m * (m + 1))
+        object.__setattr__(self, "group_map", group_map)
         object.__setattr__(self, "_mc", fc.maurer_cartan(group_map, self.fd_step))
 
     @property
@@ -89,7 +95,7 @@ def to_g_connection(
     twisted = isinstance(c, LGxS1ConnectionData)
 
     def coeffs(x, u):
-        g = chart.group_point(u)
+        g = chart.group_map(u)
         phi = c.phi(x)
         out = np.zeros((chart.total_dim, c.N, c.n, c.n), dtype=complex)
         for i in range(c.dim):
@@ -106,16 +112,17 @@ def to_g_connection(
 
 def from_g_connection(field: GConnectionField) -> LGConnectionData:
     """Read (A, Phi) back off the canonical section (theta slot and base slots
-    at the group point where g = identity)."""
+    at the group point where g = identity), one ``coeffs`` call per point."""
     chart = field.chart
     u_star = chart.identity_coordinates()
+    section = fc.chart_function(lambda x: field.coeffs(x, u_star), chart.base_dim)
 
     def A_coeff(x, idx):
         (i,) = idx
-        return field.coeffs(x, u_star)[i]
+        return section(x)[i]
 
     def phi(x):
-        return field.coeffs(x, u_star)[chart.theta_index]
+        return section(x)[chart.theta_index]
 
     return LGConnectionData(
         A=fc.FormField(1, chart.base_dim, A_coeff),
@@ -173,7 +180,7 @@ def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedC
     """Ad(g^{-1}) of the transported curvature ``string_cylinder(c)``
     componentwise: beta on base pairs, gamma on (base, theta); group slots
     vanish."""
-    g = chart.group_point(u)
+    g = chart.group_map(u)
     cyl = string_cylinder(c)
     ti = chart.theta_index
     out = {}
@@ -221,4 +228,4 @@ def pontrjagyn_fiber_integral(c: LGConnectionData | LGxS1ConnectionData) -> fc.F
         raise ValueError("need chart dimension >= 3")
     f = pontrjagyn_polynomial()
     cyl = string_cylinder(c)
-    return fc.fiber_integrate_poly_wedge([cyl, cyl], lambda v: eval_invariant_polynomial(f, v))
+    return fc.fiber_integrate_poly_wedge([cyl, cyl], f)

@@ -64,7 +64,7 @@ def alpha_form(point, tangents) -> float:
     g2 = point[1]
     t1 = tangents[0]
     if isinstance(g2, lp.SemiDirectGroupElement):
-        z2 = lp.z_map(g2.loop_part)
+        z2 = g2.z
         probe = t1.loop_part - 0.5 * t1.circle_part * z2
         return _pair_integral(probe, z2)
     return _pair_integral(t1, lp.z_map(g2))
@@ -187,8 +187,7 @@ def epsilon_form(c, tau: Callable, point: np.ndarray, X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     AX = fc.evaluate(c.A, point, [X])
     if isinstance(c, LGxS1ConnectionData):
-        s = tau(point)
-        z = lp.z_map(s.loop_part)
+        z = tau(point).z
         aX = fc.evaluate(c.a, point, [X])
         return _pair_integral(AX - 0.5 * aX * z, z)
     z = lp.z_map(tau(point))
@@ -254,7 +253,7 @@ def reduced_splitting(phi_value: np.ndarray, a: lp.SemiDirectAlgebraElement) -> 
 
 def group_cocycle_sigma(g: lp.SemiDirectGroupElement, a: lp.SemiDirectAlgebraElement) -> float:
     """sigma((gamma, phi)^{-1}, (xi, x)) = alpha_{((1,1),(gamma,phi))}((xi, x), 0)."""
-    z = lp.z_map(g.loop_part)
+    z = g.z
     return _pair_integral(a.loop_part - 0.5 * a.circle_part * z, z)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .liecore import InvariantPolynomial, eval_invariant_polynomial
+from .liecore import InvariantPolynomial
 
 
 class _ConnectionChart:
@@ -135,7 +135,7 @@ def higher_string_form(
         raise ValueError(f"chart dimension {c.dim} < 2k-1 = {2 * k - 1}")
     F = curvature(c).F
     slots = [covariant_higgs(c)] + [F] * (k - 1)
-    integrand = fc.poly_wedge(slots, lambda vals: eval_invariant_polynomial(f, vals))
+    integrand = fc.poly_wedge(slots, f)
     return fc.form_sum([fc.integrate_loop_form(integrand)], [float(k)])
 
 
@@ -185,10 +185,7 @@ def independence_homotopy_form(
         phit = fc.form_sum([c0.phi, varphi], [1.0, float(t)])
         ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
         cyl_t = string_cylinder(ct)
-        terms.append(fc.fiber_integrate_poly_wedge(
-            [diff_cyl] + [cyl_t] * (k - 1),
-            lambda vals: eval_invariant_polynomial(f, vals),
-        ))
+        terms.append(fc.fiber_integrate_poly_wedge([diff_cyl] + [cyl_t] * (k - 1), f))
     return fc.form_sum([fc.form_sum(terms, list(w))], [float(k)])
 
 
@@ -220,7 +217,7 @@ def gauge_transform(c, sigma):
             g = s.loop_part
             inner = (
                 lp.adjoint_inverse(g, c.A.coeff(p, idx))
-                - c.a.coeff(p, idx) * lp.left_translate(g, lp.loop_derivative(g))
+                - c.a.coeff(p, idx) * s.drift
                 + lp.left_translate(g, dsigma.coeff(p, idx).loop_part)
             )
             return lp.rotate(-s.angle, inner)

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liecore import killing
+from .liecore import InvariantPolynomial, eval_invariant_polynomial, killing
 from .loopspace import bracket, central, circle_integral, left_translate
 
 # Points a form of degree <= 1 keeps: the 2 dim + 1 points of one d on charts
@@ -52,19 +52,21 @@ class FormField:
     the values of the last ``STENCIL_POINTS`` points it was asked, a higher
     form those of the last point (see :func:`_memo`): stencils ask the data
     forms (Higgs field, gauge map, connection) again and again, while a
-    higher form is asked once per component at each stencil point.  A
-    0-form such as a Higgs field or a gauge map is called on a point:
-    ``phi(p)``.
+    higher form is asked once per component at each stencil point.
+    ``keep`` sets another number of points, for a form asked on a stencil
+    of stencils.  A 0-form such as a Higgs field or a gauge map is called
+    on a point: ``phi(p)``.
     """
 
     degree: int
     dim: int
     coeff: Callable[[np.ndarray, tuple[int, ...]], object]
+    keep: int | None = None
 
     def __post_init__(self) -> None:
         if self.degree < 0 or self.dim < 1:
             raise DegreeError(f"bad degree {self.degree} or dim {self.dim}")
-        points = STENCIL_POINTS if self.degree <= 1 else 1
+        points = self.keep or (STENCIL_POINTS if self.degree <= 1 else 1)
         object.__setattr__(self, "coeff", _memo(self.coeff, points))
 
     def __call__(self, p):
@@ -73,13 +75,14 @@ class FormField:
         return self.coeff(p, ())
 
 
-def chart_function(fn, dim: int) -> FormField:
-    """A chart map p -> value as a 0-form; a 0-form passes through."""
+def chart_function(fn, dim: int, keep: int | None = None) -> FormField:
+    """A chart map p -> value as a 0-form keeping ``keep`` points (see
+    :class:`FormField`); a 0-form passes through."""
     if isinstance(fn, FormField):
         if (fn.degree, fn.dim) != (0, dim):
             raise DegreeError(f"need a 0-form on {dim} dims, got degree {fn.degree} on {fn.dim}")
         return fn
-    return FormField(0, dim, lambda p, idx: fn(p))
+    return FormField(0, dim, lambda p, idx: fn(p), keep)
 
 
 def _memo(raw, points: int):
@@ -146,38 +149,88 @@ def _split_patterns(total: int, sizes: tuple[int, ...]) -> tuple:
     return tuple(out)
 
 
-def _shuffle_sum(degrees: tuple[int, ...], entries, term: Callable):
+@lru_cache(maxsize=None)
+def _class_patterns(total: int, sizes: tuple[int, ...], classes: tuple[int, ...]) -> tuple:
+    """:func:`_split_patterns` with the splittings of exchangeable slots
+    summed once.
+
+    Slots with equal labels in ``classes`` hold the same form, so under a
+    symmetric value map two splittings that differ only by which of those
+    slots takes which block have equal values.  Such splittings share a
+    key, the sorted (class, block) pairs.  Returns tuples (weight, blocks),
+    one per key in order of first occurrence: the blocks of its first
+    splitting and the sum of its members' signs.  Keys whose signs cancel
+    (odd-degree repeats) are dropped, which is exact; if all cancel, the
+    first splitting stays with weight 0, so a sum has the values' shape.
+    """
+    weights: dict = {}  # key -> [weight, blocks of its first splitting]
+    for sign, blocks in _split_patterns(total, sizes):
+        key = tuple(sorted(zip(classes, blocks)))
+        weights.setdefault(key, [0, blocks])[0] += sign
+    out = tuple((w, blocks) for w, blocks in weights.values() if w)
+    return out or ((0, next(iter(weights.values()))[1]),)
+
+
+def _shuffle_sum(degrees: tuple[int, ...], entries, term: Callable, classes=None):
     """Signed sum of ``term(blocks)`` over the block shuffles of ``entries``.
 
     ``blocks`` holds one tuple of entries per degree, the entries of each
     block in their order in ``entries``; the sign is that of
-    :func:`_split_patterns`.
+    :func:`_split_patterns`.  With ``classes``, one label per degree and
+    equal labels for slots that ``term`` treats symmetrically, each class
+    of splittings is one weighted term (:func:`_class_patterns`).
     """
+    if classes is None:
+        patterns = _split_patterns(len(entries), tuple(degrees))
+    else:
+        patterns = _class_patterns(len(entries), tuple(degrees), tuple(classes))
     total = None
-    for sign, pos_blocks in _split_patterns(len(entries), tuple(degrees)):
+    for sign, pos_blocks in patterns:
         value = term([tuple(entries[k] for k in blk) for blk in pos_blocks])
-        value = value if sign == 1 else -value
+        if sign != 1:
+            value = -value if sign == -1 else sign * value
         total = value if total is None else total + value
     return total
 
 
-def poly_wedge(forms: list[FormField], combine: Callable) -> FormField:
+def _slot_classes(items) -> tuple[int, ...]:
+    """Per item, the position of the first item that is the same object."""
+    return tuple(next(i for i, x in enumerate(items) if x is item) for item in items)
+
+
+def poly_wedge(forms: list[FormField], combine: Callable | InvariantPolynomial) -> FormField:
     """Wedge-combine k forms through a multilinear value map.
 
     ``combine`` receives one coefficient value per form and returns the
     combined value; the result's coefficient on K sums over ordered
     splittings of K into blocks matching each form's degree, with shuffle
     signs.
+
+    ``combine`` may be an ``InvariantPolynomial`` f, evaluated by
+    ``eval_invariant_polynomial``.  f is symmetric, so slots that hold the
+    same form object form a class: splittings that differ only by a swap
+    of blocks within a class are one term, evaluated once with the sum of
+    their shuffle signs as weight.  Swapping the blocks of two slots of odd
+    degree flips the sign, so odd-degree repeats give an exact zero.  Classes keep
+    their first-occurrence order, so a wedge of distinct forms sums the
+    same terms in the same order as without classes, bit for bit.  Pass f
+    itself, never a lambda around it, or the symmetry is not seen.
     """
     dim = _require_same_chart(*forms)
     degrees = tuple(f.degree for f in forms)
     total_degree = sum(degrees)
+    classes = None
+    if isinstance(combine, InvariantPolynomial):
+        poly, classes = combine, _slot_classes(forms)
+
+        def combine(vals):
+            return eval_invariant_polynomial(poly, vals)
 
     def coeff(p, idx):
         def term(blocks):
             return combine([f.coeff(p, blk) for f, blk in zip(forms, blocks)])
 
-        return _shuffle_sum(degrees, idx, term)
+        return _shuffle_sum(degrees, idx, term, classes)
 
     return FormField(total_degree, dim, coeff)
 
@@ -363,22 +416,36 @@ class CylinderForm:
             raise DegreeError("need deg beta = deg gamma + 1")
 
 
-def fiber_integrate_poly_wedge(cyls: list[CylinderForm], combine: Callable) -> FormField:
+def fiber_integrate_poly_wedge(
+    cyls: list[CylinderForm], combine: Callable | InvariantPolynomial
+) -> FormField:
     """Fiber integral over S1 of poly_wedge on chart x S1.
 
     Only the terms with one dtheta factor survive the integral: slot i
     takes its gamma, the others their beta, with the sign of moving dtheta
     past the later betas.  Terms with two dtheta factors vanish.
+
+    For an ``InvariantPolynomial`` (see :func:`poly_wedge`) the terms of
+    slots holding the same cylinder object merge.  With q = deg beta, the
+    terms of two such slots i < j hold gamma and beta swapped across slots
+    of total degree r, which is the Koszul sign (-1)^(q(q-1) + (2q-1) r)
+    = (-1)^r, or (-1)^(q(j-i-1)) when the slots between are q-forms; their
+    dtheta signs differ by (-1)^(r+q).  So the two terms differ by (-1)^q:
+    m copies give one term of weight m for even q, and for odd q the terms
+    cancel in pairs (m = 2), or each is zero by its two odd betas (m > 2).
     """
     betas = [c.beta for c in cyls]
-    terms = []
-    weights = []
+    classes = _slot_classes(cyls) if isinstance(combine, InvariantPolynomial) else range(len(cyls))
+    weights = {}
     for i, c in enumerate(cyls):
-        sign = (-1) ** sum(betas[j].degree for j in range(i + 1, len(cyls)))
-        slots = betas[:i] + [c.gamma] + betas[i + 1 :]
-        terms.append(poly_wedge(slots, combine))
-        weights.append(float(sign))
-    return integrate_loop_form(form_sum(terms, weights))
+        copies = classes.count(i)  # 0 for a later copy, merged into the first's term
+        if copies:
+            sign = (-1) ** sum(betas[j].degree for j in range(i + 1, len(cyls)))
+            weights[i] = sign * (copies if c.beta.degree % 2 == 0 else int(copies == 1))
+    # a sum whose terms all cancel keeps its first term at weight 0, for the shape
+    kept = [i for i, w in weights.items() if w] or [0]
+    terms = [poly_wedge(betas[:i] + [cyls[i].gamma] + betas[i + 1 :], combine) for i in kept]
+    return integrate_loop_form(form_sum(terms, [float(weights[i]) for i in kept]))
 
 
 def integrate_loop_form(form: FormField) -> FormField:

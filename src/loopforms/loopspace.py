@@ -14,7 +14,7 @@ and circle part 0 a pair's formula is the loop one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -178,13 +178,33 @@ class SemiDirectAlgebraElement:
 
 @dataclass(frozen=True)
 class SemiDirectGroupElement:
-    """Pair (gamma, phi) in LG x S1 with angle stored in [0, 2 pi)."""
+    """Pair (gamma, phi) in LG x S1 with angle stored in [0, 2 pi).
+
+    The element keeps d gamma / d theta and the two loops its adjoint
+    actions take from it, ``z`` and ``drift``, once asked: a face push or a
+    gauge change asks them of one element again and again.
+    """
 
     loop_part: np.ndarray
     angle: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angle", float(self.angle) % (2.0 * np.pi))
+
+    @cached_property
+    def dtheta(self) -> np.ndarray:
+        """d gamma / d theta."""
+        return loop_derivative(self.loop_part)
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """Z(gamma) = d gamma gamma^{-1}, ``z_map`` of the loop part."""
+        return loop_product(self.dtheta, loop_inverse(self.loop_part))
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """gamma^{-1} d gamma."""
+        return left_translate(self.loop_part, self.dtheta)
 
 
 def central(plus, minus, h: float):
@@ -216,7 +236,7 @@ def adjoint(g, a):
         gamma = g.loop_part
         if gamma.shape != a.loop_part.shape:
             raise ValueError("loop shapes differ")
-        loop = adjoint(gamma, rotate(g.angle, a.loop_part)) + a.circle_part * z_map(gamma)
+        loop = adjoint(gamma, rotate(g.angle, a.loop_part)) + a.circle_part * g.z
         return SemiDirectAlgebraElement(loop, a.circle_part)
     return loop_product(loop_product(g, a), loop_inverse(g))
 
@@ -234,9 +254,7 @@ def adjoint_inverse(g, a):
     """Ad(gamma^{-1}) xi = gamma^{-1} xi gamma, pointwise, for a unitary gamma;
     Ad(gamma, phi)^{-1}(xi, x) = (rot_{-phi}(Ad(gamma^{-1}) xi - x gamma^{-1} dgamma), x)."""
     if isinstance(g, SemiDirectGroupElement):
-        gamma = g.loop_part
-        drift = left_translate(gamma, loop_derivative(gamma))
-        inner = adjoint_inverse(gamma, a.loop_part) - a.circle_part * drift
+        inner = adjoint_inverse(g.loop_part, a.loop_part) - a.circle_part * g.drift
         return SemiDirectAlgebraElement(rotate(-g.angle, inner), a.circle_part)
     return loop_product(left_translate(g, a), g)
 

@@ -349,11 +349,10 @@ def check_ad_invariance_identity(
     ]
     a_form = fc.single_term_form(dim, a_block, a_value)
 
-    feval = partial(liecore.eval_invariant_polynomial, f)
     point = np.zeros(dim)
     full = tuple(range(dim))
 
-    lhs_form = fc.poly_wedge([fc.wedge_bracket(phi_forms[0], a_form)] + phi_forms[1:], feval)
+    lhs_form = fc.poly_wedge([fc.wedge_bracket(phi_forms[0], a_form)] + phi_forms[1:], f)
     lhs = lhs_form.coeff(point, full)
 
     rhs = 0.0
@@ -362,7 +361,7 @@ def check_ad_invariance_identity(
         sign = (-1) ** (p * sum(degrees[1:j]))
         slots = list(phi_forms)
         slots[j] = fc.wedge_bracket(a_form, phi_forms[j])
-        rhs = rhs + sign * fc.poly_wedge(slots, feval).coeff(point, full)
+        rhs = rhs + sign * fc.poly_wedge(slots, f).coeff(point, full)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -637,7 +636,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
 
     F = connections.curvature(c).F
     nabla = connections.covariant_higgs(c)
-    g = chart.group_point(u)
+    g = chart.group_map(u)
 
     # horizontal probes of the base coordinate directions, in (base, group)
     # coordinates: they have no theta component
@@ -661,7 +660,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
         (i,) = idx
         if i >= dim:
             return zero
-        gp = chart.group_point(p[dim:])
+        gp = chart.group_map(p[dim:])
         return lp.adjoint_inverse(gp, nabla.coeff(p[:dim], idx))[theta_idx]
 
     psi = fc.FormField(1, dim + chart.group_dim, psi_coeff)

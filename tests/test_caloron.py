@@ -109,6 +109,20 @@ class TestTransport:
             caloron.g_curvature_transport_check(c, pts, chart=chart)
         )
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_group_point_computed_once(self, n, monkeypatch):
+        # the chart's group map keeps the 1 + 2m + 2m^2 points of the nested
+        # stencil (m = group_dim), for every base point of the check
+        inputs = []
+        exp_loop = lp.exp_loop
+        monkeypatch.setattr(lp, "exp_loop", lambda xi: inputs.append(xi.tobytes()) or exp_loop(xi))
+        c = sampling.random_lg_connection(RNG, 2, N, n)
+        chart = caloron.ExtendedChart(2, N, n)
+        pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]
+        assert caloron.g_curvature_transport_check(c, pts, chart=chart) < 1e-4
+        m = chart.group_dim
+        assert len(inputs) == len(set(inputs)) == 1 + 2 * m + 2 * m * m
+
     def test_twisted_random_data(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
         pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]
@@ -158,6 +172,21 @@ class TestRoundTrip:
         for i in range(2):
             assert np.max(np.abs(back.A.coeff(p, (i,)) - c.A.coeff(p, (i,)))) < 1e-8
         assert np.max(np.abs(back.phi(p) - c.phi(p))) < 1e-8
+
+    def test_reads_the_section_once_per_point(self):
+        c = sampling.random_lg_connection(RNG, 2, N, 2)
+        field = caloron.to_g_connection(c)
+        calls = []
+        counted = caloron.GConnectionField(
+            field.chart, lambda x, u: calls.append(x) or field.coeffs(x, u)
+        )
+        back = caloron.from_g_connection(counted)
+        p = 0.3 * RNG.standard_normal(2)
+        want = field.coeffs(p, field.chart.identity_coordinates())
+        for i in range(2):
+            assert back.A.coeff(p, (i,)).tobytes() == want[i].tobytes()
+        assert back.phi(p).tobytes() == want[field.chart.theta_index].tobytes()
+        assert len(calls) == 1
 
     def test_pure_maurer_cartan_reads_zero(self):
         c = _flat_connection(2)

@@ -122,6 +122,21 @@ class TestSimplicial:
         pts, tans = lg_point_tangent(2)
         assert ce.simplicial_delta_eval(lambda p, t: 0.0, pts, tans) == 0.0
 
+    def test_lgxs1_deltas_differentiate_each_loop_once(self, monkeypatch):
+        # the face pushes of both tangent sets and alpha's Z share the
+        # d gamma / d theta kept on each LG x| S1 element
+        inputs = []
+        loop_derivative = lp.loop_derivative
+        monkeypatch.setattr(
+            lp, "loop_derivative", lambda s: inputs.append(s.tobytes()) or loop_derivative(s)
+        )
+        pair, tx = sd_point_tangent(2)
+        _, ty = sd_point_tangent(2)
+        ce.simplicial_delta_eval(ce._r_eval, pair, tx, ty)
+        triple, tans = sd_point_tangent(3)
+        ce.verify_delta_alpha_zero(triple, tans)
+        assert inputs and len(inputs) == len(set(inputs))
+
     def test_delta_squared_scalar(self):
         probe = sampling.bandlimited_algebra_loop(RNG, N, 2)
 

@@ -185,6 +185,23 @@ class TestHigherStringForm:
         with pytest.raises(ValueError):
             cn.higher_string_form(InvariantPolynomial(2), 2, c)
 
+    def test_k3_evaluates_f_once_per_class_of_splittings(self, monkeypatch):
+        # slots (nabla Phi, F, F): of the 5 * C(4, 2) = 30 splittings of a
+        # coefficient, the two that swap the F blocks are one term, so f is
+        # evaluated 15 times, not 30
+        calls = []
+        evaluate = fc.eval_invariant_polynomial
+
+        def counted(f, args):
+            calls.append(len(args))
+            return evaluate(f, args)
+
+        monkeypatch.setattr(fc, "eval_invariant_polynomial", counted)
+        c = sampling.random_lg_connection(RNG, 5, 16, 2)
+        s5 = cn.higher_string_form(InvariantPolynomial(3), 3, c)
+        s5.coeff(0.3 * RNG.standard_normal(5), (0, 1, 2, 3, 4))
+        assert calls == [3] * 15
+
 
 class TestLGxS1:
     def test_a_zero_reduces_curvature(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from loopforms import sampling
+from loopforms import loopspace, sampling
 from loopforms.loopspace import (
     LOOP_PRODUCT_MAX_N,
     SemiDirectAlgebraElement,
@@ -314,6 +314,24 @@ class TestSemiDirect:
         a = _sd_alg()
         back = adjoint(g, adjoint_inverse(g, a))
         assert np.max(np.abs(back.loop_part - a.loop_part)) < 1e-10
+
+    def test_element_keeps_its_theta_derivative(self, monkeypatch):
+        # z and drift are z_map and gamma^{-1} d gamma of the loop part, bit
+        # for bit, from one derivative kept on the element
+        g = _sd_grp()
+        gamma = g.loop_part
+        z, drift = z_map(gamma), left_translate(gamma, loop_derivative(gamma))
+        calls = []
+        monkeypatch.setattr(
+            loopspace, "loop_derivative", lambda s: calls.append(s) or loop_derivative(s)
+        )
+        for a in (_sd_alg(), _sd_alg()):
+            adjoint(g, a)
+            adjoint_inverse(g, a)
+        assert len(calls) == 1
+        assert g.z.tobytes() == z.tobytes()
+        assert g.drift.tobytes() == drift.tobytes()
+        assert g.dtheta is g.dtheta
 
 
 def _trig_group_loop(rng, m1=1, m2=2):

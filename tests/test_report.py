@@ -520,6 +520,23 @@ class TestLoopRepeats:
         assert "forms.pure_gauge_flat" in proc.stdout
         assert "5 checks, all passed" in proc.stdout
 
+    def test_one_check(self):
+        script = str(ROOT / "scripts" / "loop_repeats.py")
+        proc = subprocess.run(
+            [sys.executable, script, "--suite", "forms", "--check", "forms.d_squared"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = proc.stdout.split("\n\n")[0].splitlines()
+        assert [row.split()[0] for row in table[1:]] == ["forms.d_squared", "total"]
+        assert "1 checks, all passed" in proc.stdout
+        proc = subprocess.run(
+            [sys.executable, script, "--suite", "lie", "--check", "forms.d_squared"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "no check 'forms.d_squared' in suite lie" in proc.stderr
+
 
 class TestDiffReports:
     def run_diff(self, tmp_path, before, after):
