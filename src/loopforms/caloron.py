@@ -25,11 +25,12 @@ from .liecore import pontrjagyn_polynomial, sun_basis
 @dataclass(frozen=True)
 class ExtendedChart:
     """Base chart + periodic theta + exponential group coordinates at g0,
-    taken in the basis ``sun_basis(n)``.  ``group_map`` is ``group_point``
-    as a 0-form: callers ask it, not ``group_point``, so g(u) is computed
-    once per point.  It keeps the 1 + 2m + 2m^2 points (m = group_dim) of a
-    central difference of the Maurer-Cartan form, itself a central
-    difference of ``group_map``, as ``g_curvature_components`` takes it."""
+    taken in the basis ``sun_basis(n)``.  ``group_map`` is the chart's
+    only way to the group point g(u) = g0 exp(sum u_a e_a): a 0-form, so
+    g(u) is computed once per point.  It keeps the 1 + 2m + 2m^2 points
+    (m = group_dim) of a central difference of the Maurer-Cartan form,
+    itself a central difference of ``group_map``, as
+    ``g_curvature_components`` takes it."""
 
     base_dim: int
     N: int
@@ -42,7 +43,7 @@ class ExtendedChart:
         if self.g0 is None:
             object.__setattr__(self, "g0", np.eye(self.n, dtype=complex))
         m = len(self.basis)
-        group_map = fc.chart_function(self.group_point, m, keep=1 + 2 * m * (m + 1))
+        group_map = fc.chart_function(self._group_point, m, keep=1 + 2 * m * (m + 1))
         object.__setattr__(self, "group_map", group_map)
         object.__setattr__(self, "_mc", fc.maurer_cartan(group_map, self.fd_step))
 
@@ -59,7 +60,7 @@ class ExtendedChart:
     def theta_index(self) -> int:
         return self.base_dim
 
-    def group_point(self, u: np.ndarray) -> np.ndarray:
+    def _group_point(self, u: np.ndarray) -> np.ndarray:
         x = sum(ui * e for ui, e in zip(u, self.basis))
         return self.g0 @ lp.exp_loop(x)
 

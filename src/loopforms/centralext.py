@@ -26,13 +26,7 @@ import numpy as np
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .connections import (
-    LGxS1ConnectionData,
-    curvature,
-    dA_dtheta,
-    gauge_transform,
-    string_form,
-)
+from .connections import LGxS1ConnectionData, gauge_transform, string_form
 from .liecore import killing
 
 FD_STEP = 1e-4
@@ -230,12 +224,11 @@ def curving_direct(c) -> fc.FormField:
     """B = (1/2 pi) Int (1/2)<A, dA/dtheta> - <F, Phi> dtheta for plain loop
     data; with the rotation twist, (1/4 pi) Int <A, dA/dtheta>
     - 2 <F + (1/2) f Phi, Phi> dtheta.  Real 2-form, i stripped."""
-    pair = curvature(c)
-    lifted = pair.F
+    lifted = c.F
     if isinstance(c, LGxS1ConnectionData):
-        lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)], [1.0, 0.5])
+        lifted = fc.form_sum([c.F, fc.wedge_scalar(c.f, c.phi)], [1.0, 0.5])
     inner = fc.form_sum(
-        [fc.wedge_pair(c.A, dA_dtheta(c)), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
+        [fc.wedge_pair(c.A, c.dA_dtheta), fc.wedge_pair(lifted, c.phi)], [0.5, -1.0]
     )
     return fc.form_sum([fc.integrate_loop_form(inner)], [1.0 / (2.0 * pi)])
 
@@ -270,7 +263,7 @@ def reduced_splitting_transformation_residual(
 
 def splitting_curving(c: LGxS1ConnectionData) -> fc.FormField:
     """B = (1/2) omega(A, A) + ell(p, F) from the reduced splitting."""
-    pair = curvature(c)
+    F, f = c.F, c.f
 
     def coeff(p, idx):
         i, j = idx
@@ -283,7 +276,7 @@ def splitting_curving(c: LGxS1ConnectionData) -> fc.FormField:
         sd_j = lp.SemiDirectAlgebraElement(Aj, aj)
         omega_AA = extension_cocycle(sd_i, sd_j) - extension_cocycle(sd_j, sd_i)
         F_ij = lp.SemiDirectAlgebraElement(
-            pair.F.coeff(p, idx), float(pair.f.coeff(p, idx))
+            F.coeff(p, idx), float(f.coeff(p, idx))
         )
         return 0.5 * omega_AA + reduced_splitting(phi, F_ij)
 

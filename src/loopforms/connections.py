@@ -24,34 +24,38 @@ from .liecore import InvariantPolynomial
 class _ConnectionChart:
     """Takes Phi as a 0-form; a plain callable p -> Phi(p) is wrapped into one.
 
-    The forms derived from the data (dA/dtheta, F and nabla Phi) are built
-    on first use and kept on the object, so every string form, cylinder and
-    curving of one connection shares them and their memos.  A changed
-    connection (``gauge_transform``, ``dataclasses.replace``) is a new
-    object and builds its own.
+    The forms derived from the data are attributes, built on first use and
+    kept on the object: ``dA_dtheta``, the curvature ``F`` and the covariant
+    derivative ``nabla_phi`` of the Higgs field, and on LG x| S1 data also
+    ``f`` = da.  Every string form, cylinder and curving of one connection
+    shares them and their memos.  A changed connection (``gauge_transform``,
+    ``dataclasses.replace``) is a new object and builds its own.
     """
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi", fc.chart_function(self.phi, self.dim))
 
     @cached_property
-    def _A_theta(self) -> fc.FormField:
+    def dA_dtheta(self) -> fc.FormField:
+        """dA/dtheta."""
         return partial_theta(self.A)
 
     @cached_property
-    def _curvature(self) -> CurvaturePair:
+    def F(self) -> fc.FormField:
+        """F = dA + (1/2)[A, A]; for LG x| S1 data also - a ^ dA/dtheta."""
         dA = fc.exterior_derivative(self.A, self.fd_step)
         AA = fc.half_bracket(self.A)
         if not isinstance(self, LGxS1ConnectionData):
-            return CurvaturePair(F=fc.form_sum([dA, AA]))
-        twist = fc.wedge_scalar(self.a, self._A_theta)
-        F = fc.form_sum([dA, AA, twist], [1.0, 1.0, -1.0])
-        return CurvaturePair(F=F, f=fc.exterior_derivative(self.a, self.fd_step))
+            return fc.form_sum([dA, AA])
+        twist = fc.wedge_scalar(self.a, self.dA_dtheta)
+        return fc.form_sum([dA, AA, twist], [1.0, 1.0, -1.0])
 
     @cached_property
-    def _covariant_higgs(self) -> fc.FormField:
+    def nabla_phi(self) -> fc.FormField:
+        """nabla Phi = dPhi + [A, Phi] - dA/dtheta; for LG x| S1 data also
+        - a dPhi/dtheta."""
         terms = [fc.exterior_derivative(self.phi, self.fd_step),
-                 fc.wedge_bracket(self.A, self.phi), self._A_theta]
+                 fc.wedge_bracket(self.A, self.phi), self.dA_dtheta]
         if not isinstance(self, LGxS1ConnectionData):
             return fc.form_sum(terms, [1.0, 1.0, -1.0])
         twist = fc.wedge_scalar(self.a, partial_theta(self.phi))
@@ -82,11 +86,10 @@ class LGxS1ConnectionData(_ConnectionChart):
     n: int
     fd_step: float = 1e-4
 
-
-@dataclass(frozen=True)
-class CurvaturePair:
-    F: fc.FormField
-    f: fc.FormField | None = None
+    @cached_property
+    def f(self) -> fc.FormField:
+        """f = da, the curvature of the circle part."""
+        return fc.exterior_derivative(self.a, self.fd_step)
 
 
 def partial_theta(form: fc.FormField) -> fc.FormField:
@@ -96,45 +99,22 @@ def partial_theta(form: fc.FormField) -> fc.FormField:
     )
 
 
-def dA_dtheta(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
-    """dA/dtheta of connection data, built once per connection."""
-    return c._A_theta
-
-
-def curvature(c: LGConnectionData | LGxS1ConnectionData) -> CurvaturePair:
-    """F = dA + (1/2)[A, A]; for LG x| S1 data
-    (F, f) = (dA + (1/2)[A, A] - a ^ dA/dtheta, da).  Built once per
-    connection."""
-    return c._curvature
-
-
-def covariant_higgs(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
-    """nabla Phi = dPhi + [A, Phi] - dA/dtheta; for LG x| S1 data also
-    - a dPhi/dtheta.  Built once per connection."""
-    return c._covariant_higgs
-
-
 def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
     """-(1/4 pi^2) Int <F, nabla Phi> dtheta, a real 3-form on the chart;
     for LG x| S1 data F + f Phi takes the place of F."""
-    pair = curvature(c)
-    lifted = pair.F
+    lifted = c.F
     if isinstance(c, LGxS1ConnectionData):
-        lifted = fc.form_sum([pair.F, fc.wedge_scalar(pair.f, c.phi)])
-    integrand = fc.wedge_pair(lifted, covariant_higgs(c))
+        lifted = fc.form_sum([c.F, fc.wedge_scalar(c.f, c.phi)])
+    integrand = fc.wedge_pair(lifted, c.nabla_phi)
     return fc.form_sum([fc.integrate_loop_form(integrand)], [-1.0 / (4.0 * pi ** 2)])
 
 
-def higher_string_form(
-    f: InvariantPolynomial, k: int, c: LGConnectionData
-) -> fc.FormField:
-    """String form of degree 2k-1: k Int f(nabla Phi, F, ..., F) dtheta."""
-    if f.degree != k:
-        raise ValueError(f"polynomial degree {f.degree} != k = {k}")
+def higher_string_form(f: InvariantPolynomial, c: LGConnectionData) -> fc.FormField:
+    """String form of degree 2k-1, k = deg f: k Int f(nabla Phi, F, ..., F) dtheta."""
+    k = f.degree
     if c.dim < 2 * k - 1:
         raise ValueError(f"chart dimension {c.dim} < 2k-1 = {2 * k - 1}")
-    F = curvature(c).F
-    slots = [covariant_higgs(c)] + [F] * (k - 1)
+    slots = [c.nabla_phi] + [c.F] * (k - 1)
     integrand = fc.poly_wedge(slots, f)
     return fc.form_sum([fc.integrate_loop_form(integrand)], [float(k)])
 
@@ -142,25 +122,22 @@ def higher_string_form(
 def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderForm:
     """Curvature on chart x S1: F + nabla Phi ^ dtheta; for LG x| S1 data
     the transported curvature (F + f Phi) + nabla Phi ^ (a + dtheta)."""
-    pair = curvature(c)
-    nabla = covariant_higgs(c)
+    F, nabla = c.F, c.nabla_phi
     if not isinstance(c, LGxS1ConnectionData):
-        return fc.CylinderForm(beta=pair.F, gamma=nabla)
+        return fc.CylinderForm(beta=F, gamma=nabla)
     # nabla Phi ^ a = -a ^ nabla Phi
     beta = fc.form_sum(
-        [pair.F, fc.wedge_scalar(pair.f, c.phi), fc.wedge_scalar(c.a, nabla)],
+        [F, fc.wedge_scalar(c.f, c.phi), fc.wedge_scalar(c.a, nabla)],
         [1.0, 1.0, -1.0],
     )
     return fc.CylinderForm(beta=beta, gamma=nabla)
 
 
 def independence_homotopy_form(
-    f: InvariantPolynomial,
-    k: int,
-    c0: LGConnectionData,
-    c1: LGConnectionData,
+    f: InvariantPolynomial, c0: LGConnectionData, c1: LGConnectionData
 ) -> fc.FormField:
-    """Primitive psi with d psi = s(c1) - s(c0).
+    """Primitive psi with d psi = s(c1) - s(c0), for the string forms of
+    degree 2k-1, k = deg f.
 
     Built on the circle-extended chart from the difference 1-form
     alpha + (Phi_1 - Phi_0) dtheta and the interpolated curvatures,
@@ -169,8 +146,7 @@ def independence_homotopy_form(
     """
     if (c0.dim, c0.N, c0.n) != (c1.dim, c1.N, c1.n):
         raise ValueError("connection data live on different discretizations")
-    if f.degree != k:
-        raise ValueError(f"polynomial degree {f.degree} != k = {k}")
+    k = f.degree
 
     alpha = fc.form_sum([c1.A, c0.A], [1.0, -1.0])
     varphi = fc.form_sum([c1.phi, c0.phi], [1.0, -1.0])

@@ -150,7 +150,9 @@ def _split_patterns(total: int, sizes: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _class_patterns(total: int, sizes: tuple[int, ...], classes: tuple[int, ...]) -> tuple:
+def _class_patterns(
+    total: int, sizes: tuple[int, ...], classes: tuple[int, ...] | None
+) -> tuple:
     """:func:`_split_patterns` with the splittings of exchangeable slots
     summed once.
 
@@ -162,7 +164,11 @@ def _class_patterns(total: int, sizes: tuple[int, ...], classes: tuple[int, ...]
     splitting and the sum of its members' signs.  Keys whose signs cancel
     (odd-degree repeats) are dropped, which is exact; if all cancel, the
     first splitting stays with weight 0, so a sum has the values' shape.
+    ``classes=None`` labels every slot apart: each key is one splitting,
+    so the plan is :func:`_split_patterns` term for term.
     """
+    if classes is None:
+        classes = range(len(sizes))
     weights: dict = {}  # key -> [weight, blocks of its first splitting]
     for sign, blocks in _split_patterns(total, sizes):
         key = tuple(sorted(zip(classes, blocks)))
@@ -176,16 +182,12 @@ def _shuffle_sum(degrees: tuple[int, ...], entries, term: Callable, classes=None
 
     ``blocks`` holds one tuple of entries per degree, the entries of each
     block in their order in ``entries``; the sign is that of
-    :func:`_split_patterns`.  With ``classes``, one label per degree and
-    equal labels for slots that ``term`` treats symmetrically, each class
-    of splittings is one weighted term (:func:`_class_patterns`).
+    :func:`_split_patterns`.  ``classes``, a tuple of one label per degree,
+    gives equal labels to slots that ``term`` treats symmetrically; each
+    class of splittings is then one weighted term (:func:`_class_patterns`).
     """
-    if classes is None:
-        patterns = _split_patterns(len(entries), tuple(degrees))
-    else:
-        patterns = _class_patterns(len(entries), tuple(degrees), tuple(classes))
     total = None
-    for sign, pos_blocks in patterns:
+    for sign, pos_blocks in _class_patterns(len(entries), tuple(degrees), classes):
         value = term([tuple(entries[k] for k in blk) for blk in pos_blocks])
         if sign != 1:
             value = -value if sign == -1 else sign * value

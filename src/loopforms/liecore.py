@@ -23,26 +23,17 @@ from math import factorial, pi
 
 import numpy as np
 
-from .loopspace import loop_product
-
-
-class DimensionMismatch(ValueError):
-    """Operands belong to different su(n)."""
+from .loopspace import _check_shapes, loop_product
 
 
 class ArityError(ValueError):
     """Wrong number of arguments for an invariant polynomial."""
 
 
-def _require_same_shape(X: np.ndarray, Y: np.ndarray) -> None:
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"operand shapes differ: {X.shape} vs {Y.shape}")
-
-
 def killing(X: np.ndarray, Y: np.ndarray) -> float | np.ndarray:
     """Normalized invariant form <X, Y> = -Re tr(XY), pointwise over leading
     axes: a float for two matrices, an array for two loops."""
-    _require_same_shape(X, Y)
+    _check_shapes(X, Y)
     out = np.real(-np.einsum("...ij,...ji->...", X, Y))
     return float(out) if out.ndim == 0 else out
 

@@ -30,6 +30,14 @@ def _check_samples(N: int) -> None:
         raise ValueError(f"need an even number of samples >= 4, got {N}")
 
 
+def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
+    """The package's one shape check: ValueError("shapes differ: A vs B")
+    unless a and b have one shape.  ``bracket``, the pair ``adjoint`` and
+    ``liecore.killing`` raise through it."""
+    if a.shape != b.shape:
+        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
+
+
 @lru_cache(maxsize=16)  # a run uses a handful of grid sizes
 def _freqs(N: int) -> np.ndarray:
     """Read-only FFT frequencies of an N-sample grid: every caller shares them."""
@@ -233,10 +241,8 @@ def adjoint(g, a):
     """Ad(gamma) xi = gamma xi gamma^{-1}, pointwise, for a unitary gamma;
     Ad(gamma, phi)(xi, x) = (Ad(gamma) rot_phi(xi) + x dgamma gamma^{-1}, x)."""
     if isinstance(g, SemiDirectGroupElement):
-        gamma = g.loop_part
-        if gamma.shape != a.loop_part.shape:
-            raise ValueError("loop shapes differ")
-        loop = adjoint(gamma, rotate(g.angle, a.loop_part)) + a.circle_part * g.z
+        _check_shapes(g.loop_part, a.loop_part)
+        loop = adjoint(g.loop_part, rotate(g.angle, a.loop_part)) + a.circle_part * g.z
         return SemiDirectAlgebraElement(loop, a.circle_part)
     return loop_product(loop_product(g, a), loop_inverse(g))
 
@@ -269,8 +275,7 @@ def bracket(a, b):
             + b.circle_part * loop_derivative(xi)
         )
         return SemiDirectAlgebraElement(loop, 0.0)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
+    _check_shapes(a, b)
     return loop_product(a, b) - loop_product(b, a)
 
 

@@ -205,14 +205,11 @@ def pf_string_class_vs_generator(
 
 
 def pf_higher_string_vs_transgression(
-    f: InvariantPolynomial,
-    k: int,
-    p: PathPoint,
-    frame,
-    alpha: CutoffFunction,
+    f: InvariantPolynomial, p: PathPoint, frame, alpha: CutoffFunction
 ) -> tuple[float, float, float]:
-    """k Int f(nabla Phi, F, ..., F) dtheta on a (2k-1)-frame of endpoint
-    values, against the transgression evaluation of f."""
+    """k Int f(nabla Phi, F, ..., F) dtheta, k = deg f, on a (2k-1)-frame of
+    endpoint values, against the transgression evaluation of f."""
+    k = f.degree
     if len(frame) != 2 * k - 1:
         raise ValueError("need 2k-1 frame values")
     nab, curv = _frame_values(p, frame, alpha)
@@ -222,7 +219,7 @@ def pf_higher_string_vs_transgression(
         return lp.circle_integral(eval_invariant_polynomial(f, args))
 
     lhs = k * _antisym_eval(contraction, (1,) + (2,) * (k - 1), range(len(frame)))
-    rhs = transgression_tau(f, k, frame)
+    rhs = transgression_tau(f, frame)
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 
 
@@ -271,10 +268,10 @@ def higgs_holonomy(xi: np.ndarray) -> PathPoint:
     return PathPoint(g[:N], g[N])
 
 
-def transgression_tau(f: InvariantPolynomial, k: int, frame) -> float:
-    """(-1/2)^{k-1} k!(k-1)!/(2k-1)! f(T, [T, T], ..., [T, T]) on a frame."""
-    if f.degree != k:
-        raise ValueError(f"polynomial degree {f.degree} != k = {k}")
+def transgression_tau(f: InvariantPolynomial, frame) -> float:
+    """(-1/2)^{k-1} k!(k-1)!/(2k-1)! f(T, [T, T], ..., [T, T]) on a
+    (2k-1)-frame, k = deg f."""
+    k = f.degree
     if len(frame) != 2 * k - 1:
         raise ValueError("need 2k-1 frame values")
 

@@ -560,7 +560,7 @@ def _forms_pullback(cfg: RunConfig, rng) -> float:
 def _closedness_residual(cfg: RunConfig, rng, k: int, n: int | None) -> float:
     dim = 2 * k
     c = sampling.random_lg_connection(rng, dim, cfg.samples, n or cfg.n, fd_step=cfg.fd_step)
-    s = connections.higher_string_form(liecore.InvariantPolynomial(k), k, c)
+    s = connections.higher_string_form(liecore.InvariantPolynomial(k), c)
     ds = fc.exterior_derivative(s, cfg.fd_step)
     pts = sampling.random_chart_points(rng, dim, 2)
     return fc.max_coeff(ds, pts)
@@ -571,7 +571,7 @@ def _string_higher_match(cfg: RunConfig, rng) -> float:
     dim = 3
     c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
-    hi = connections.higher_string_form(f, 2, c)
+    hi = connections.higher_string_form(f, c)
     lo = connections.string_form(c)
     diff = fc.form_sum([hi, lo], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
@@ -581,14 +581,13 @@ def _string_higher_match(cfg: RunConfig, rng) -> float:
 @_check("string.independence", "string", "string-form/choice-independence", 1e-4)
 def _string_independence(cfg: RunConfig, rng) -> float:
     dim = 3
-    k = 2
     c0 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     c1 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
-    psi = connections.independence_homotopy_form(f, k, c0, c1)
+    psi = connections.independence_homotopy_form(f, c0, c1)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
-    s0 = connections.higher_string_form(f, k, c0)
-    s1 = connections.higher_string_form(f, k, c1)
+    s0 = connections.higher_string_form(f, c0)
+    s1 = connections.higher_string_form(f, c1)
     diff = fc.form_sum([dpsi, s1, s0], [1.0, -1.0, 1.0])
     pts = sampling.random_chart_points(rng, dim, 2)
     return fc.max_coeff(diff, pts)
@@ -634,8 +633,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
     u = 0.3 * rng.standard_normal(chart.group_dim)
     x = 0.3 * rng.standard_normal(dim)
 
-    F = connections.curvature(c).F
-    nabla = connections.covariant_higgs(c)
+    F, nabla = c.F, c.nabla_phi
     g = chart.group_map(u)
 
     # horizontal probes of the base coordinate directions, in (base, group)
@@ -921,7 +919,7 @@ def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: i
 
     def trial():
         frame = sampling.random_frame(rng, n or cfg.n, 2 * k - 1)
-        _, _, resid = pathfib.pf_higher_string_vs_transgression(f, k, p, frame, alpha)
+        _, _, resid = pathfib.pf_higher_string_vs_transgression(f, p, frame, alpha)
         return resid
 
     return _worst_over(trials, trial)

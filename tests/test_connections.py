@@ -34,14 +34,14 @@ def const_phi_connection(dim, phi_const, n=2):
 class TestCurvatureLG:
     def test_zero_connection(self):
         c = zero_connection(2)
-        F = cn.curvature(c).F
+        F = c.F
         assert fc.max_coeff(F, [np.zeros(2)]) < 1e-15
 
     def test_pure_gauge_flat(self):
         dim = 2
         sigma = sampling.random_gauge_loop(RNG, dim, N, 2)
         c = cn.gauge_transform(zero_connection(dim), sigma)
-        F = cn.curvature(c).F
+        F = c.F
         pts = [0.4 * RNG.standard_normal(dim) for _ in range(3)]
         assert fc.max_coeff(F, pts) < 1e-6
 
@@ -56,7 +56,7 @@ class TestCurvatureLG:
             return np.zeros_like(xi)
 
         c = cn.LGConnectionData(fc.FormField(1, dim, A_coeff), lambda p: 0 * xi, dim, N, 2)
-        F = cn.curvature(c).F
+        F = c.F
         p = np.array([0.3, 0.7])
         got = F.coeff(p, (0, 1))
         assert np.max(np.abs(got + 2 * p[1] * xi)) < 1e-8
@@ -70,7 +70,7 @@ class TestCurvatureLG:
 class TestCovariantHiggsLG:
     def test_flat_constant_phi(self):
         c = const_phi_connection(2, X1)
-        nabla = cn.covariant_higgs(c)
+        nabla = c.nabla_phi
         assert fc.max_coeff(nabla, [np.zeros(2)]) < 1e-12
 
     def test_reduces_to_dphi(self):
@@ -78,7 +78,7 @@ class TestCovariantHiggsLG:
         c0 = sampling.random_lg_connection(RNG, dim, N, 2)
         zero_loop = np.zeros((N, 2, 2), dtype=complex)
         c = cn.LGConnectionData(zero_form(dim, 1, zero_loop), c0.phi, dim, N, 2)
-        nabla = cn.covariant_higgs(c)
+        nabla = c.nabla_phi
         p = 0.3 * RNG.standard_normal(dim)
         h = c.fd_step
         for i in range(dim):
@@ -103,7 +103,7 @@ class TestCovariantHiggsLG:
             return np.broadcast_to(phi_poly(p) * phi_const, (N, 2, 2)).copy()
 
         c = cn.LGConnectionData(fc.FormField(1, dim, A_coeff), phi, dim, N, 2)
-        nabla = cn.covariant_higgs(c)
+        nabla = c.nabla_phi
         p = 0.2 * RNG.standard_normal(dim)
         h = 1e-5
         for i in range(dim):
@@ -126,7 +126,7 @@ class TestStringFormLG:
         dim = 3
         c = sampling.random_lg_connection(RNG, dim, N, 2)
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
-        hi = cn.higher_string_form(f, 2, c)
+        hi = cn.higher_string_form(f, c)
         lo = cn.string_form(c)
         diff = fc.form_sum([hi, lo], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(dim)]) < 1e-13
@@ -150,8 +150,8 @@ class TestStringFormLG:
         c = sampling.random_lg_connection(RNG, dim, N, 2)
         sigma = sampling.random_gauge_loop(RNG, dim, N, 2)
         ct = cn.gauge_transform(c, sigma)
-        F = cn.curvature(c).F
-        Ft = cn.curvature(ct).F
+        F = c.F
+        Ft = ct.F
         p = 0.3 * RNG.standard_normal(dim)
         g = sigma(p)
         want = lp.loop_inverse(g) @ F.coeff(p, (0, 1)) @ g
@@ -162,28 +162,28 @@ class TestHigherStringForm:
     def test_k1_covariantly_constant(self):
         c = const_phi_connection(2, X1)
         f = InvariantPolynomial(1)
-        s1 = cn.higher_string_form(f, 1, c)
+        s1 = cn.higher_string_form(f, c)
         assert fc.max_coeff(s1, [np.zeros(2)]) < 1e-14
 
     def test_k1_traceless_vanishes(self):
         # linear invariant polynomial is a multiple of the trace: zero on su(n)
         c = sampling.random_lg_connection(RNG, 2, N, 2)
         f = InvariantPolynomial(1)
-        s1 = cn.higher_string_form(f, 1, c)
+        s1 = cn.higher_string_form(f, c)
         assert fc.max_coeff(s1, [0.3 * RNG.standard_normal(2)]) < 1e-13
 
     def test_k3_closed_su3(self):
         dim = 6
         c = sampling.random_lg_connection(RNG, dim, N, 3)
         f = InvariantPolynomial(3)
-        s5 = cn.higher_string_form(f, 3, c)
+        s5 = cn.higher_string_form(f, c)
         ds = fc.exterior_derivative(s5, 1e-4)
         assert fc.max_coeff(ds, [0.2 * RNG.standard_normal(dim)]) < 1e-5
 
     def test_dimension_guard(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
         with pytest.raises(ValueError):
-            cn.higher_string_form(InvariantPolynomial(2), 2, c)
+            cn.higher_string_form(InvariantPolynomial(2), c)
 
     def test_k3_evaluates_f_once_per_class_of_splittings(self, monkeypatch):
         # slots (nabla Phi, F, F): of the 5 * C(4, 2) = 30 splittings of a
@@ -198,7 +198,7 @@ class TestHigherStringForm:
 
         monkeypatch.setattr(fc, "eval_invariant_polynomial", counted)
         c = sampling.random_lg_connection(RNG, 5, 16, 2)
-        s5 = cn.higher_string_form(InvariantPolynomial(3), 3, c)
+        s5 = cn.higher_string_form(InvariantPolynomial(3), c)
         s5.coeff(0.3 * RNG.standard_normal(5), (0, 1, 2, 3, 4))
         assert calls == [3] * 15
 
@@ -214,8 +214,8 @@ class TestLGxS1:
         )
         cyl_ext, cyl_base = cn.string_cylinder(ext), cn.string_cylinder(base)
         pairs = [
-            (cn.curvature(ext).F, cn.curvature(base).F),
-            (cn.covariant_higgs(ext), cn.covariant_higgs(base)),
+            (ext.F, base.F),
+            (ext.nabla_phi, base.nabla_phi),
             (cyl_ext.beta, cyl_base.beta),
             (cyl_ext.gamma, cyl_base.gamma),
         ]
@@ -239,8 +239,8 @@ class TestLGxS1:
         ext = cn.LGxS1ConnectionData(A, a, phi, dim, N, 2)
         base = cn.LGConnectionData(A, phi, dim, N, 2)
         p = 0.3 * RNG.standard_normal(dim)
-        got = cn.curvature(ext).F.coeff(p, (0, 1))
-        want = cn.curvature(base).F.coeff(p, (0, 1))
+        got = ext.F.coeff(p, (0, 1))
+        want = base.F.coeff(p, (0, 1))
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_twisted_curvature_term_by_term_oracle(self):
@@ -249,7 +249,7 @@ class TestLGxS1:
         dim = 2
         c = sampling.random_lgxs1_connection(RNG, dim, N, 2)
         p = 0.25 * RNG.standard_normal(dim)
-        got = cn.curvature(c).F.coeff(p, (0, 1))
+        got = c.F.coeff(p, (0, 1))
         h = 3e-5
         e0, e1 = np.eye(dim) * h
         dA = (
@@ -265,7 +265,7 @@ class TestLGxS1:
             + a1 * lp.loop_derivative(A0)
         )
         assert np.max(np.abs(got - want)) < 1e-7
-        fval = float(cn.curvature(c).f.coeff(p, (0, 1)))
+        fval = float(c.f.coeff(p, (0, 1)))
         da = (
             (float(c.a.coeff(p + e0, (1,))) - float(c.a.coeff(p - e0, (1,))))
             - (float(c.a.coeff(p + e1, (0,))) - float(c.a.coeff(p - e1, (0,))))
@@ -276,8 +276,8 @@ class TestLGxS1:
         dim = 2
         c = sampling.random_lgxs1_connection(RNG, dim, N, 2)
         base = cn.LGConnectionData(c.A, c.phi, c.dim, c.N, c.n, c.fd_step)
-        nab_ext = cn.covariant_higgs(c)
-        nab_base = cn.covariant_higgs(base)
+        nab_ext = c.nabla_phi
+        nab_base = base.nabla_phi
         p = 0.3 * RNG.standard_normal(dim)
         for i in range(dim):
             want = nab_base.coeff(p, (i,)) - c.a.coeff(p, (i,)) * lp.loop_derivative(
@@ -322,24 +322,22 @@ class TestLGxS1:
         c = sampling.random_lgxs1_connection(RNG, dim, N, 2)
         sigma = sampling.random_semidirect_gauge(RNG, dim, N, 2)
         ct = cn.gauge_transform(c, sigma)
-        pair = cn.curvature(c)
-        pair_t = cn.curvature(ct)
         p = 0.3 * RNG.standard_normal(dim)
         s = sigma(p)
         g, ang = s.loop_part, s.angle
         ginv = lp.loop_inverse(g)
-        F = pair.F.coeff(p, (0, 1))
-        fval = float(pair.f.coeff(p, (0, 1)))
+        F = c.F.coeff(p, (0, 1))
+        fval = float(c.f.coeff(p, (0, 1)))
         want = lp.rotate(-ang, ginv @ F @ g - fval * (ginv @ lp.loop_derivative(g)))
-        assert np.max(np.abs(pair_t.F.coeff(p, (0, 1)) - want)) < 5e-6
-        assert float(pair_t.f.coeff(p, (0, 1))) == pytest.approx(fval, abs=1e-6)
+        assert np.max(np.abs(ct.F.coeff(p, (0, 1)) - want)) < 5e-6
+        assert float(ct.f.coeff(p, (0, 1))) == pytest.approx(fval, abs=1e-6)
 
 
 class TestIndependence:
     def test_equal_connections_give_zero(self):
         c = sampling.random_lg_connection(RNG, 3, N, 2)
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
-        psi = cn.independence_homotopy_form(f, 2, c, c)
+        psi = cn.independence_homotopy_form(f, c, c)
         assert fc.max_coeff(psi, [0.3 * RNG.standard_normal(3)]) < 1e-14
 
     def test_difference_is_exact(self):
@@ -347,10 +345,10 @@ class TestIndependence:
         c0 = sampling.random_lg_connection(RNG, dim, N, 2)
         c1 = sampling.random_lg_connection(RNG, dim, N, 2)
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
-        psi = cn.independence_homotopy_form(f, 2, c0, c1)
+        psi = cn.independence_homotopy_form(f, c0, c1)
         dpsi = fc.exterior_derivative(psi, 1e-4)
-        s0 = cn.higher_string_form(f, 2, c0)
-        s1 = cn.higher_string_form(f, 2, c1)
+        s0 = cn.higher_string_form(f, c0)
+        s1 = cn.higher_string_form(f, c1)
         diff = fc.form_sum([dpsi, s1, s0], [1.0, -1.0, 1.0])
         assert fc.max_coeff(diff, [0.2 * RNG.standard_normal(dim)]) < 1e-4
 
@@ -371,8 +369,8 @@ class TestIndependence:
         p = np.array([0.1, -0.2, 0.3])
         idx = (0, 1)
         eps = 1e-4
-        psi_1 = cn.independence_homotopy_form(f, 2, c0, perturbed(eps))
-        psi_2 = cn.independence_homotopy_form(f, 2, c0, perturbed(2 * eps))
+        psi_1 = cn.independence_homotopy_form(f, c0, perturbed(eps))
+        psi_2 = cn.independence_homotopy_form(f, c0, perturbed(2 * eps))
         v1 = psi_1.coeff(p, idx)
         v2 = psi_2.coeff(p, idx)
         # psi scales linearly to first order in the perturbation
@@ -467,7 +465,7 @@ class TestChartMaps:
         dim = 3
         raw, calls = self.counted_phi(rng, dim)
         c = cn.LGConnectionData(sampling.random_loop_one_form(rng, dim, N, 2), raw, dim, N, 2)
-        nabla = cn.covariant_higgs(c)
+        nabla = c.nabla_phi
         p = 0.3 * rng.standard_normal(dim)
         for i in range(dim):
             nabla.coeff(p, (i,))
@@ -487,8 +485,8 @@ class TestChartMaps:
         phi = sampling.random_higgs_field(rng, dim, N, 2)
         c = cn.LGConnectionData(fc.FormField(1, dim, raw), phi, dim, N, 2)
         p = 0.3 * rng.standard_normal(dim)
-        fc.max_coeff(cn.curvature(c).F, [p])
-        fc.max_coeff(cn.covariant_higgs(c), [p])
+        fc.max_coeff(c.F, [p])
+        fc.max_coeff(c.nabla_phi, [p])
         assert len(calls) == len(set(calls))
 
     @staticmethod
@@ -502,13 +500,14 @@ class TestChartMaps:
     @pytest.mark.parametrize("twisted", [False, True])
     def test_derived_forms_built_once_per_connection(self, twisted):
         c, sigma = self.connection_and_gauge(np.random.default_rng(47), 3, twisted)
-        for derived in (cn.curvature, cn.covariant_higgs, cn.dA_dtheta):
-            assert derived(c) is derived(c)
+        derived = ("F", "nabla_phi", "dA_dtheta") + (("f",) if twisted else ())
+        for name in derived:
+            assert getattr(c, name) is getattr(c, name)
         ct = cn.gauge_transform(c, sigma)
-        for derived in (cn.curvature, cn.covariant_higgs, cn.dA_dtheta):
-            assert derived(ct) is derived(ct)
-            assert derived(ct) is not derived(c)
-        assert cn.curvature(replace(c, fd_step=1e-3)) is not cn.curvature(c)
+        for name in derived:
+            assert getattr(ct, name) is getattr(ct, name)
+            assert getattr(ct, name) is not getattr(c, name)
+        assert replace(c, fd_step=1e-3).F is not c.F
 
     def test_twisted_f_and_nabla_share_dA_dtheta(self, monkeypatch):
         # the twists a ^ dA/dtheta of F and dA/dtheta of nabla Phi take one
@@ -525,8 +524,8 @@ class TestChartMaps:
 
         monkeypatch.setattr(lp, "loop_derivative", counted)
         p = 0.3 * rng.standard_normal(dim)
-        fc.max_coeff(cn.curvature(c).F, [p])
-        fc.max_coeff(cn.covariant_higgs(c), [p])
+        fc.max_coeff(c.F, [p])
+        fc.max_coeff(c.nabla_phi, [p])
         assert count[0] == dim + 1
 
     @pytest.mark.parametrize("twisted", [False, True])
@@ -541,7 +540,7 @@ class TestChartMaps:
             return bracket(a, b)
 
         monkeypatch.setattr(fc, "bracket", counted)
-        F = cn.curvature(c).F
+        F = c.F
         for p in sampling.random_chart_points(np.random.default_rng(61), dim, 2):
             for ij in combinations(range(dim), 2):
                 F.coeff(p, ij)

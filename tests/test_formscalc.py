@@ -239,7 +239,7 @@ class TestWedge:
 
     def test_zero_form_slot(self):
         # a 0-form slot takes its value at the point: the Higgs-field terms of
-        # covariant_higgs, string_form and string_cylinder, bit for bit
+        # nabla Phi, string_form and string_cylinder, bit for bit
         dim, N = 3, 16
         A = sampling.random_loop_one_form(RNG, dim, N, 2)
         a = sampling.random_real_one_form(RNG, dim)
@@ -433,6 +433,17 @@ class TestSymmetricClasses:
         p = np.zeros(dim)
         for idx in combinations(range(dim), sum(degrees)):
             assert grouped.coeff(p, idx).tobytes() == plain.coeff(p, idx).tobytes()
+
+    @pytest.mark.parametrize(
+        "degrees", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 2, 2), (1, 1, 1, 1)]
+    )
+    def test_distinct_label_plan_is_the_split_plan(self, degrees):
+        # classes=None labels every slot apart: the same blocks, order and
+        # signs as the plain shuffle plan, term for term
+        total = sum(degrees)
+        plan = fc._class_patterns(total, degrees, None)
+        assert plan == fc._split_patterns(total, degrees)
+        assert all(type(w) is int for w, _ in plan)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("degrees", [(2, 2), (1, 2, 2)])

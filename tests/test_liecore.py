@@ -73,6 +73,12 @@ class TestKilling:
         x = sampling.random_algebra(RNG, 2)
         assert killing(x, np.zeros((2, 2), dtype=complex)) == 0.0
 
+    def test_dimension_mismatch(self):
+        # the one shape check of loopspace, as bracket raises it
+        x, y = np.zeros((2, 2), dtype=complex), np.zeros((3, 3), dtype=complex)
+        with pytest.raises(ValueError, match=r"shapes differ: \(2, 2\) vs \(3, 3\)"):
+            killing(x, y)
+
     def test_coroot_normalization(self):
         # -tr(diag(-1, -1)) = 2
         assert killing(H, H) == pytest.approx(2.0, abs=1e-15)

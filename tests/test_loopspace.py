@@ -409,6 +409,14 @@ class TestGroupInterface:
         assert np.array_equal(bracket(a, b).loop_part, bracket(X, Y))
         assert np.array_equal(gauge_shift(p1, X), gauge_shift(g1, X))
 
+    def test_pair_adjoint_shape_mismatch(self):
+        # the loop parts of the element and the algebra pair must match
+        g = SemiDirectGroupElement(np.broadcast_to(np.eye(2, dtype=complex), (N, 2, 2)), 0.5)
+        a = SemiDirectAlgebraElement(np.zeros((N, 3, 3), dtype=complex), 1.0)
+        shapes = rf"\({N}, 2, 2\) vs \({N}, 3, 3\)"
+        with pytest.raises(ValueError, match="shapes differ: " + shapes):
+            adjoint(g, a)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bracket_of_loops_is_the_commutator_bitwise(self, n):
         rng = np.random.default_rng(22)

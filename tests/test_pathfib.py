@@ -358,19 +358,19 @@ class TestTransgression:
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
         V = sampling.random_algebra(RNG, 2)
         W = sampling.random_algebra(RNG, 2)
-        assert pf.transgression_tau(f, 2, [V, V, W]) == pytest.approx(0.0, abs=1e-15)
+        assert pf.transgression_tau(f, [V, V, W]) == pytest.approx(0.0, abs=1e-15)
 
     def test_k2_su2_frame_matches_generator(self, generic_path, cutoff):
         f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
-        tau = pf.transgression_tau(f, 2, [X1, X2, X3])
+        tau = pf.transgression_tau(f, [X1, X2, X3])
         _, rhs, _ = pf.pf_string_class_vs_generator(generic_path, [X1, X2, X3], cutoff)
         assert tau == pytest.approx(rhs, rel=1e-12)
         assert tau == pytest.approx(1.0 / (96 * np.pi ** 2), rel=1e-12)
 
     def test_linearity_in_polynomial(self):
         frame = sampling.random_frame(RNG, 2, 3)
-        t1 = pf.transgression_tau(InvariantPolynomial(2, 1.0), 2, frame)
-        t3 = pf.transgression_tau(InvariantPolynomial(2, 3.0), 2, frame)
+        t1 = pf.transgression_tau(InvariantPolynomial(2, 1.0), frame)
+        t3 = pf.transgression_tau(InvariantPolynomial(2, 3.0), frame)
         assert t3 == pytest.approx(3 * t1, rel=1e-12)
 
     def test_higher_string_matches_tau_k2(self, generic_path, cutoff):
@@ -378,9 +378,7 @@ class TestTransgression:
         worst = 0.0
         for _ in range(5):
             frame = sampling.random_frame(RNG, 2, 3)
-            _, _, resid = pf.pf_higher_string_vs_transgression(
-                f, 2, generic_path, frame, cutoff
-            )
+            _, _, resid = pf.pf_higher_string_vs_transgression(f, generic_path, frame, cutoff)
             worst = max(worst, resid)
         assert worst < 1e-6
 
@@ -392,9 +390,7 @@ class TestTransgression:
         worst = 0.0
         for _ in range(3):
             frame = sampling.random_frame(RNG, 3, 5)
-            lhs, rhs, resid = pf.pf_higher_string_vs_transgression(
-                f, 3, p, frame, alpha
-            )
+            lhs, rhs, resid = pf.pf_higher_string_vs_transgression(f, p, frame, alpha)
             worst = max(worst, resid)
             assert abs(rhs) > 1e-12  # non-trivial on su(3)
         assert worst < 1e-6

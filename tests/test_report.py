@@ -538,6 +538,17 @@ class TestLoopRepeats:
         assert "no check 'forms.d_squared' in suite lie" in proc.stderr
 
 
+class TestCoeffRepeats:
+    def test_forms_suite_smoke(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "coeff_repeats.py"), "--suite", "forms"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert any(row.split()[:1] == ["total"] for row in proc.stdout.splitlines())
+        assert "5 checks, all passed" in proc.stdout
+
+
 class TestDiffReports:
     def run_diff(self, tmp_path, before, after):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
