@@ -108,10 +108,14 @@ class RunConfig:
 
         A chart check (caloron, centralext, forms, string) holds up to
         CHART_PEAK_LOOPS loops of its own n on the suite grid; that n is the
-        run's, or 3 for string.closed.k3.  The caloron curvature's D^2 chart
-        partials and D(D-1)/2 components (D = 3 base + theta + su(n)
-        directions) stay under 2 D^2 loops, which passes CHART_PEAK_LOOPS
-        from n = 4 on.  A lie or loops check holds LOOP_CHECK_PEAK_LOOPS.
+        run's, or 3 for string.closed.k3.  The caloron curvature holds, at
+        one point of the extended chart (d = 2 or 3 base + su(n)
+        directions), d(d-1)/2 components each of F, dA and (1/2)[A, A], and
+        the memos of nabla Phi and of the assembled A and Phi: traced peaks
+        of 599-690 loops at n = 4 and 1229-1347 at n = 5, 64 samples, under
+        2 D^2 loops with D = n^2 + 3 (722 and 1568), which passes
+        CHART_PEAK_LOOPS from n = 4 on.  A lie or loops check holds
+        LOOP_CHECK_PEAK_LOOPS.
         The path-fibration holonomy takes MAGNUS_REFINE * max(4
         pathfib_samples, 1024) Magnus steps."""
         D = self.n ** 2 + 3
@@ -629,7 +633,7 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
     dim = 2
     c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     chart = caloron.ExtendedChart(base_dim=dim, N=cfg.samples, n=cfg.n, fd_step=cfg.fd_step)
-    field = caloron.to_g_connection(c, chart)
+    cg = caloron.to_g_connection(c, chart)
     u = 0.3 * rng.standard_normal(chart.group_dim)
     x = 0.3 * rng.standard_normal(dim)
 
@@ -638,14 +642,15 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
 
     # horizontal probes of the base coordinate directions, in (base, group)
     # coordinates: they have no theta component
-    A0 = field.coeffs(x, u)
-    mat = np.stack([m.flatten() for m in chart.maurer_cartan(u)], axis=1)
+    xu = np.concatenate([x, u])
     theta_idx = rng.integers(0, cfg.samples)
+    mat = np.stack([cg.A.coeff(xu, (a,))[theta_idx].flatten() for a in range(dim, cg.dim)],
+                   axis=1)
     probes = []
     for i in range(dim):
-        vec = np.zeros(dim + chart.group_dim)
+        vec = np.zeros(cg.dim)
         vec[i] = 1.0
-        coeffs, *_ = np.linalg.lstsq(mat, A0[i][theta_idx].flatten(), rcond=None)
+        coeffs, *_ = np.linalg.lstsq(mat, cg.A.coeff(xu, (i,))[theta_idx].flatten(), rcond=None)
         vec[dim:] = -np.real(coeffs)
         probes.append(vec)
 
@@ -661,9 +666,9 @@ def _string_dnabla(cfg: RunConfig, rng) -> float:
         gp = chart.group_map(p[dim:])
         return lp.adjoint_inverse(gp, nabla.coeff(p[:dim], idx))[theta_idx]
 
-    psi = fc.FormField(1, dim + chart.group_dim, psi_coeff)
+    psi = fc.FormField(1, cg.dim, psi_coeff)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
-    lhs = fc.evaluate(dpsi, np.concatenate([x, u]), probes)
+    lhs = fc.evaluate(dpsi, xu, probes)
     Fval = F.coeff(x, (0, 1))
     phi = c.phi(x)
     comm = Fval @ phi - phi @ Fval
@@ -713,7 +718,9 @@ def _caloron_transport_g0(cfg: RunConfig, rng) -> float:
 @_check("caloron.roundtrip", "caloron", "caloron/connection-roundtrip", 1e-10)
 def _caloron_roundtrip(cfg: RunConfig, rng) -> float:
     c = sampling.random_lg_connection(rng, 2, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    back = caloron.from_g_connection(caloron.to_g_connection(c))
+    g0 = sampling.random_group(rng, cfg.n, 0.7)
+    chart = caloron.ExtendedChart(2, cfg.samples, cfg.n, g0=g0, fd_step=cfg.fd_step)
+    back = caloron.from_g_connection(caloron.to_g_connection(c, chart), chart)
     pts = sampling.random_chart_points(rng, 2, 3)
     residuals = []
     for p in pts:

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loopforms import caloron, connections as cn, formscalc as fc, loopspace as lp, sampling
+from loopforms import caloron, connections as cn, formscalc as fc, loopspace as lp
+from loopforms import report as rp, sampling
 
 from helpers import zero_form
 
@@ -27,35 +28,35 @@ class TestAssembly:
 
     def test_theta_readout_is_higgs(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection(c)
+        cg = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
-        coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
-        assert np.max(np.abs(coeffs[field.chart.theta_index] - c.phi(x))) < 1e-14
+        xu = np.concatenate([x, np.zeros(cg.dim - 2)])
+        assert np.max(np.abs(cg.phi(xu) - c.phi(x))) < 1e-14
 
     def test_base_readout_is_connection(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection(c)
+        cg = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
-        coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
+        xu = np.concatenate([x, np.zeros(cg.dim - 2)])
         for i in range(2):
-            assert np.max(np.abs(coeffs[i] - c.A.coeff(x, (i,)))) < 1e-14
+            assert np.max(np.abs(cg.A.coeff(xu, (i,)) - c.A.coeff(x, (i,)))) < 1e-14
 
     def test_twisted_base_readout_couples_a(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection(c)
+        cg = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
-        coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
+        xu = np.concatenate([x, np.zeros(cg.dim - 2)])
         phi = c.phi(x)
         for i in range(2):
             want = c.A.coeff(x, (i,)) + float(c.a.coeff(x, (i,))) * phi
-            assert np.max(np.abs(coeffs[i] - want)) < 1e-14
+            assert np.max(np.abs(cg.A.coeff(xu, (i,)) - want)) < 1e-14
 
     def test_twisted_theta_readout(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection(c)
+        cg = caloron.to_g_connection(c)
         x = 0.3 * RNG.standard_normal(2)
-        coeffs = field.coeffs(x, np.zeros(field.chart.group_dim))
-        assert np.max(np.abs(coeffs[field.chart.theta_index] - c.phi(x))) < 1e-14
+        xu = np.concatenate([x, np.zeros(cg.dim - 2)])
+        assert np.max(np.abs(cg.phi(xu) - c.phi(x))) < 1e-14
 
     def test_twisted_reduces_when_a_zero(self):
         base = sampling.random_lg_connection(RNG, 2, N, 2)
@@ -65,8 +66,11 @@ class TestAssembly:
         f1 = caloron.to_g_connection(base)
         f2 = caloron.to_g_connection(ext)
         x = 0.3 * RNG.standard_normal(2)
-        u = 0.2 * RNG.standard_normal(f1.chart.group_dim)
-        assert np.max(np.abs(f1.coeffs(x, u) - f2.coeffs(x, u))) < 1e-13
+        u = 0.2 * RNG.standard_normal(f1.dim - 2)
+        xu = np.concatenate([x, u])
+        for i in range(f1.dim):
+            assert np.max(np.abs(f1.A.coeff(xu, (i,)) - f2.A.coeff(xu, (i,)))) < 1e-13
+        assert np.max(np.abs(f1.phi(xu) - f2.phi(xu))) < 1e-13
 
     def test_ad_inverse_matches_lapack_inverse(self):
         g = sampling.random_group(RNG, 3)
@@ -111,8 +115,10 @@ class TestTransport:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_each_group_point_computed_once(self, n, monkeypatch):
-        # the chart's group map keeps the 1 + 2m + 2m^2 points of the nested
-        # stencil (m = group_dim), for every base point of the check
+        # the chart's group map keeps the 1 + 2m^2 points of the nested
+        # stencil (m = group_dim), for every base point of the check: F
+        # differentiates the Maurer-Cartan component Theta_b only along a != b,
+        # so the points u +- 2 e_a are never asked
         inputs = []
         exp_loop = lp.exp_loop
         monkeypatch.setattr(lp, "exp_loop", lambda xi: inputs.append(xi.tobytes()) or exp_loop(xi))
@@ -121,7 +127,7 @@ class TestTransport:
         pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]
         assert caloron.g_curvature_transport_check(c, pts, chart=chart) < 1e-4
         m = chart.group_dim
-        assert len(inputs) == len(set(inputs)) == 1 + 2 * m + 2 * m * m
+        assert len(inputs) == len(set(inputs)) == 1 + 2 * m * m
 
     def test_twisted_random_data(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
@@ -157,7 +163,8 @@ class TestTransport:
 class TestRoundTrip:
     def test_roundtrip_is_identity(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
-        back = caloron.from_g_connection(caloron.to_g_connection(c))
+        chart = caloron.ExtendedChart(2, N, 2)
+        back = caloron.from_g_connection(caloron.to_g_connection(c, chart), chart)
         p = 0.3 * RNG.standard_normal(2)
         for i in range(2):
             assert np.max(np.abs(back.A.coeff(p, (i,)) - c.A.coeff(p, (i,)))) < 1e-10
@@ -167,7 +174,7 @@ class TestRoundTrip:
         c = sampling.random_lg_connection(RNG, 2, N, 2)
         g0 = sampling.random_group(RNG, 2, 0.5)
         chart = caloron.ExtendedChart(2, N, 2, g0=g0)
-        back = caloron.from_g_connection(caloron.to_g_connection(c, chart))
+        back = caloron.from_g_connection(caloron.to_g_connection(c, chart), chart)
         p = 0.3 * RNG.standard_normal(2)
         for i in range(2):
             assert np.max(np.abs(back.A.coeff(p, (i,)) - c.A.coeff(p, (i,)))) < 1e-8
@@ -175,22 +182,37 @@ class TestRoundTrip:
 
     def test_reads_the_section_once_per_point(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
-        field = caloron.to_g_connection(c)
+        chart = caloron.ExtendedChart(2, N, 2)
+        cg = caloron.to_g_connection(c, chart)
         calls = []
-        counted = caloron.GConnectionField(
-            field.chart, lambda x, u: calls.append(x) or field.coeffs(x, u)
+        counted = cn.LGConnectionData(
+            fc.FormField(1, cg.dim, lambda xu, idx: calls.append(idx) or cg.A.coeff(xu, idx)),
+            lambda xu: calls.append(()) or cg.phi(xu),
+            cg.dim, N, 2,
         )
-        back = caloron.from_g_connection(counted)
+        back = caloron.from_g_connection(counted, chart)
         p = 0.3 * RNG.standard_normal(2)
-        want = field.coeffs(p, field.chart.identity_coordinates())
-        for i in range(2):
-            assert back.A.coeff(p, (i,)).tobytes() == want[i].tobytes()
-        assert back.phi(p).tobytes() == want[field.chart.theta_index].tobytes()
-        assert len(calls) == 1
+        xu = np.concatenate([p, chart.identity_coordinates()])
+        for _ in range(2):
+            for i in range(2):
+                assert back.A.coeff(p, (i,)).tobytes() == cg.A.coeff(xu, (i,)).tobytes()
+            assert back.phi(p).tobytes() == cg.phi(xu).tobytes()
+        assert calls == [(0,), (1,), ()]
+
+    def test_check_fails_a_scaled_logarithm(self, monkeypatch):
+        # caloron.roundtrip runs at a random g0, where the identity
+        # coordinates log(g0^{-1}) are not 0: a relative error of 1e-6 in the
+        # logarithm moves g(u*) off the identity
+        log = caloron.logarithm
+        monkeypatch.setattr(caloron, "logarithm", lambda g: (1 + 1e-6) * log(g))
+        rep = rp.run_suite(rp.RunConfig(suite="caloron"))
+        (record,) = [r for r in rep.checks if r.name == "caloron.roundtrip"]
+        assert record.status == "FAIL"
 
     def test_pure_maurer_cartan_reads_zero(self):
         c = _flat_connection(2)
-        back = caloron.from_g_connection(caloron.to_g_connection(c))
+        chart = caloron.ExtendedChart(2, N, 2)
+        back = caloron.from_g_connection(caloron.to_g_connection(c, chart), chart)
         p = np.zeros(2)
         assert np.max(np.abs(back.A.coeff(p, (0,)))) < 1e-14
         assert np.max(np.abs(back.phi(p))) < 1e-14
@@ -198,13 +220,11 @@ class TestRoundTrip:
     def test_pure_dtheta_term_reads_higgs(self):
         xi = sampling.bandlimited_algebra_loop(RNG, N, 2)
         chart = caloron.ExtendedChart(2, N, 2)
-
-        def coeffs(x, u):
-            out = np.zeros((chart.total_dim, N, 2, 2), dtype=complex)
-            out[chart.theta_index] = xi
-            return out
-
-        back = caloron.from_g_connection(caloron.GConnectionField(chart, coeffs))
+        dim = 2 + chart.group_dim
+        cg = cn.LGConnectionData(
+            zero_form(dim, 1, np.zeros((N, 2, 2), dtype=complex)), lambda xu: xi, dim, N, 2
+        )
+        back = caloron.from_g_connection(cg, chart)
         assert np.max(np.abs(back.phi(np.zeros(2)) - xi)) < 1e-14
 
 

@@ -93,14 +93,21 @@ class TestRunSuite:
         assert want == max(rp.RunConfig(suite=s, **sizes).peak_loop_bytes() for s in rp.SUITES)
 
     @pytest.mark.parametrize(
-        "name", ["string.independence", "string.closed.k3", "string.gauge_invariance_twisted"]
+        "name, n, samples",
+        [pytest.param(name, 3, 256, id=name)
+         for name in ("string.independence", "string.closed.k3", "string.gauge_invariance_twisted")]
+        + [pytest.param(name, n, 64, id=f"{name}-n{n}")
+           for name in ("caloron.transport", "caloron.transport_twisted",
+                        "caloron.transport_twisted.step_refinement", "caloron.loop_bundle_slice")
+           for n in (4, 5)],
     )
-    def test_memory_budget_covers_traced_peak(self, name):
+    def test_memory_budget_covers_traced_peak(self, name, n, samples):
         # the heaviest chart checks, at n = 3 where every check counts in
-        # loops of its own n
+        # loops of its own n, and the caloron curvature checks from n = 4 on,
+        # where its term of the budget passes CHART_PEAK_LOOPS
         import tracemalloc
 
-        cfg = rp.RunConfig(n=3, samples=256)
+        cfg = rp.RunConfig(n=n, samples=samples)
         (check,) = [c for c in rp.checks_for("all") if c.name == name]
         rng = sampling.rng_for(cfg.seed, name)
         tracemalloc.start()
@@ -508,6 +515,20 @@ class TestNoScipyAtRuntime:
                               env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestTransportConvergence:
+    @pytest.mark.parametrize("args", [[], ["--twisted"]], ids=["lg", "twisted"])
+    def test_second_order_ladder(self, args):
+        script = str(ROOT / "scripts" / "transport_convergence.py")
+        proc = subprocess.run([sys.executable, script, *args], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 9
+        # the truncation-dominated steps 2e-2 ... 2.5e-3 quarter the residual
+        ratios = {float(step): float(ratio) for step, _, ratio in rows[1:]}
+        for step in (2e-2, 1e-2, 5e-3, 2.5e-3):
+            assert 3.5 <= ratios[step] <= 4.5, (step, ratios[step])
 
 
 class TestLoopRepeats:
