@@ -20,8 +20,7 @@ import numpy as np
 from . import formscalc as fc
 from . import loopspace as lp
 from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
-from .liecore import algebra_coordinates, logarithm
-from .liecore import pontrjagyn_polynomial, sun_basis
+from .liecore import algebra_coordinates, logarithm, sun_basis
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,3 @@ def g_curvature_transport_check(
             residuals.append(np.max(np.abs(val - target[key] if key in target else val)))
     return fc._worst(residuals)
 
-
-def pontrjagyn_fiber_integral(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
-    """Int_{S1} of -(1/8 pi^2) <F~, F~> for the transported curvature, of
-    LG or (twisted) LG x| S1 data."""
-    if c.dim < 3:
-        raise ValueError("need chart dimension >= 3")
-    f = pontrjagyn_polynomial()
-    cyl = string_cylinder(c)
-    return fc.fiber_integrate_poly_wedge([cyl, cyl], f)

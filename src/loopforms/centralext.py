@@ -26,8 +26,8 @@ import numpy as np
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .connections import LGxS1ConnectionData, gauge_transform, string_form
-from .liecore import killing
+from .connections import LGxS1ConnectionData, gauge_transform, higher_string_form
+from .liecore import killing, pontrjagyn_polynomial
 
 FD_STEP = 1e-4
 BRIDGE_TO_STRING_FORM = 2.0 * pi
@@ -284,12 +284,12 @@ def splitting_curving(c: LGxS1ConnectionData) -> fc.FormField:
 
 
 def three_curvature_descent_check(c, points, sigma: Callable | None = None) -> float:
-    """Residual of d(curving) = 2 pi * (string form), plus gauge invariance
+    """Residual of d(curving) = 2 pi * (string form at f = p1), plus gauge invariance
     of d(curving) when a gauge function is supplied.  d(curving) is taken
     with the connection's step ``c.fd_step``."""
     B = curving_direct(c)
     dB = fc.exterior_derivative(B, c.fd_step)
-    s = string_form(c)
+    s = higher_string_form(pontrjagyn_polynomial(), c)
     diff = fc.form_sum([dB, s], [1.0, -BRIDGE_TO_STRING_FORM])
     worst = fc.max_coeff(diff, points)
     if sigma is not None:

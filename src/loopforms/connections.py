@@ -5,13 +5,15 @@ is a loop-algebra-valued 1-form A (plus a real 1-form a in the rotated
 case), the Higgs field a loop-algebra-valued 0-form.  Global statements
 (descent, independence of choices) are realized as gauge-transformation
 compatibility checks rather than transition-function atlases.
+
+``higher_string_form(f, c)`` is the string form of degree 2k - 1, k = deg f,
+on both kinds of data; the degree-3 form is k = 2 at f = p1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import pi
 from typing import Callable
 
 import numpy as np
@@ -25,7 +27,8 @@ class _ConnectionChart:
     """Takes Phi as a 0-form; a plain callable p -> Phi(p) is wrapped into one.
 
     The forms derived from the data are attributes, built on first use and
-    kept on the object: ``dA_dtheta``, the curvature ``F`` and the covariant
+    kept on the object: ``dA_dtheta``, the curvature ``F``, the curvature
+    ``F_tilde`` that the string forms and cylinders read, and the covariant
     derivative ``nabla_phi`` of the Higgs field, and on LG x| S1 data also
     ``f`` = da.  Every string form, cylinder and curving of one connection
     shares them and their memos.  A changed connection (``gauge_transform``,
@@ -49,6 +52,13 @@ class _ConnectionChart:
             return fc.form_sum([dA, AA])
         twist = fc.wedge_scalar(self.a, self.dA_dtheta)
         return fc.form_sum([dA, AA, twist], [1.0, 1.0, -1.0])
+
+    @cached_property
+    def F_tilde(self) -> fc.FormField:
+        """F; for LG x| S1 data the lifted curvature F + f Phi."""
+        if not isinstance(self, LGxS1ConnectionData):
+            return self.F
+        return fc.form_sum([self.F, fc.wedge_scalar(self.f, self.phi)])
 
     @cached_property
     def nabla_phi(self) -> fc.FormField:
@@ -99,38 +109,28 @@ def partial_theta(form: fc.FormField) -> fc.FormField:
     )
 
 
-def string_form(c: LGConnectionData | LGxS1ConnectionData) -> fc.FormField:
-    """-(1/4 pi^2) Int <F, nabla Phi> dtheta, a real 3-form on the chart;
-    for LG x| S1 data F + f Phi takes the place of F."""
-    lifted = c.F
-    if isinstance(c, LGxS1ConnectionData):
-        lifted = fc.form_sum([c.F, fc.wedge_scalar(c.f, c.phi)])
-    integrand = fc.wedge_pair(lifted, c.nabla_phi)
-    return fc.form_sum([fc.integrate_loop_form(integrand)], [-1.0 / (4.0 * pi ** 2)])
-
-
-def higher_string_form(f: InvariantPolynomial, c: LGConnectionData) -> fc.FormField:
-    """String form of degree 2k-1, k = deg f: k Int f(nabla Phi, F, ..., F) dtheta."""
+def higher_string_form(
+    f: InvariantPolynomial, c: LGConnectionData | LGxS1ConnectionData
+) -> fc.FormField:
+    """String form of degree 2k-1, k = deg f: k Int f(nabla Phi, F~, ..., F~)
+    dtheta, with F~ = ``c.F_tilde``.  At f = p1 it is the degree-3 form
+    -(1/4 pi^2) Int <F~, nabla Phi> dtheta."""
     k = f.degree
     if c.dim < 2 * k - 1:
         raise ValueError(f"chart dimension {c.dim} < 2k-1 = {2 * k - 1}")
-    slots = [c.nabla_phi] + [c.F] * (k - 1)
+    slots = [c.nabla_phi] + [c.F_tilde] * (k - 1)
     integrand = fc.poly_wedge(slots, f)
     return fc.form_sum([fc.integrate_loop_form(integrand)], [float(k)])
 
 
 def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderForm:
     """Curvature on chart x S1: F + nabla Phi ^ dtheta; for LG x| S1 data
-    the transported curvature (F + f Phi) + nabla Phi ^ (a + dtheta)."""
-    F, nabla = c.F, c.nabla_phi
+    the transported curvature F~ + nabla Phi ^ (a + dtheta), F~ = F + f Phi."""
     if not isinstance(c, LGxS1ConnectionData):
-        return fc.CylinderForm(beta=F, gamma=nabla)
+        return fc.CylinderForm(beta=c.F, gamma=c.nabla_phi)
     # nabla Phi ^ a = -a ^ nabla Phi
-    beta = fc.form_sum(
-        [F, fc.wedge_scalar(c.f, c.phi), fc.wedge_scalar(c.a, nabla)],
-        [1.0, 1.0, -1.0],
-    )
-    return fc.CylinderForm(beta=beta, gamma=nabla)
+    beta = fc.form_sum([c.F_tilde, fc.wedge_scalar(c.a, c.nabla_phi)], [1.0, -1.0])
+    return fc.CylinderForm(beta=beta, gamma=c.nabla_phi)
 
 
 def independence_homotopy_form(

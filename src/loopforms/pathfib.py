@@ -9,7 +9,9 @@ every formula here reduces to grid arithmetic.
 The connection uses a cutoff function alpha with alpha(0) = 0,
 alpha(2 pi) = 1 and flat endpoints; the degree-three comparison against
 the bi-invariant generator hinges on Int (alpha^2 - alpha) alpha' dtheta
-being exactly -1/6, which holds for every admissible cutoff.
+being exactly -1/6, which holds for every admissible cutoff.  One
+contraction gives the string class of every degree 2k - 1 on a frame; the
+degree-three class is its k = 2 case at f = p1.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import formscalc as fc
 from . import loopspace as lp
 from .liecore import InvariantPolynomial, eval_invariant_polynomial, killing, logarithm
+from .liecore import pontrjagyn_polynomial
 
 
 @dataclass(frozen=True)
@@ -180,35 +183,9 @@ def _frame_values(p: PathPoint, frame, alpha: CutoffFunction):
     return nab, curv
 
 
-def pf_string_class_vs_generator(
-    p: PathPoint,
-    frame,
-    alpha: CutoffFunction,
-) -> tuple[float, float, float]:
-    """Antisymmetrized -(1/4 pi^2) Int <F, nabla Phi> dtheta on an endpoint
-    frame, against the degree-three generator (1/48 pi^2) <., [., .]>."""
-    V1, V2, V3 = frame
-    nab, curv = _frame_values(p, frame, alpha)
-
-    def contraction(blocks):
-        pair, (c,) = blocks
-        return lp.circle_integral(killing(curv[pair], nab[c]))
-
-    lhs = -_antisym_eval(contraction, (2, 1), range(3)) / (4.0 * pi ** 2)
-
-    def gen(blocks):
-        (a,), (b, c) = blocks
-        return killing(a, b @ c - c @ b)
-
-    rhs = _antisym_eval(gen, (1, 2), [V1, V2, V3]) / (48.0 * pi ** 2)
-    return float(lhs), float(rhs), float(abs(lhs - rhs))
-
-
-def pf_higher_string_vs_transgression(
-    f: InvariantPolynomial, p: PathPoint, frame, alpha: CutoffFunction
-) -> tuple[float, float, float]:
-    """k Int f(nabla Phi, F, ..., F) dtheta, k = deg f, on a (2k-1)-frame of
-    endpoint values, against the transgression evaluation of f."""
+def _string_class(f: InvariantPolynomial, p: PathPoint, frame, alpha: CutoffFunction) -> float:
+    """k Int f(nabla Phi, F, ..., F) dtheta, k = deg f, antisymmetrized on a
+    (2k-1)-frame of endpoint values."""
     k = f.degree
     if len(frame) != 2 * k - 1:
         raise ValueError("need 2k-1 frame values")
@@ -218,7 +195,30 @@ def pf_higher_string_vs_transgression(
         args = [nab[blocks[0][0]]] + [curv[pair] for pair in blocks[1:]]
         return lp.circle_integral(eval_invariant_polynomial(f, args))
 
-    lhs = k * _antisym_eval(contraction, (1,) + (2,) * (k - 1), range(len(frame)))
+    return k * _antisym_eval(contraction, (1,) + (2,) * (k - 1), range(len(frame)))
+
+
+def pf_string_class_vs_generator(
+    p: PathPoint, frame, alpha: CutoffFunction
+) -> tuple[float, float, float]:
+    """The degree-3 string class, k = 2 with f = p1, on an endpoint frame,
+    against the degree-three generator (1/48 pi^2) <., [., .]>."""
+    lhs = _string_class(pontrjagyn_polynomial(), p, frame, alpha)
+
+    def gen(blocks):
+        (a,), (b, c) = blocks
+        return killing(a, b @ c - c @ b)
+
+    rhs = _antisym_eval(gen, (1, 2), list(frame)) / (48.0 * pi ** 2)
+    return float(lhs), float(rhs), float(abs(lhs - rhs))
+
+
+def pf_higher_string_vs_transgression(
+    f: InvariantPolynomial, p: PathPoint, frame, alpha: CutoffFunction
+) -> tuple[float, float, float]:
+    """k Int f(nabla Phi, F, ..., F) dtheta, k = deg f, on a (2k-1)-frame of
+    endpoint values, against the transgression evaluation of f."""
+    lhs = _string_class(f, p, frame, alpha)
     rhs = transgression_tau(f, frame)
     return float(lhs), float(rhs), float(abs(lhs - rhs))
 

@@ -574,9 +574,10 @@ def _closedness_residual(cfg: RunConfig, rng, k: int, n: int | None) -> float:
 def _string_higher_match(cfg: RunConfig, rng) -> float:
     dim = 3
     c = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
-    hi = connections.higher_string_form(f, c)
-    lo = connections.string_form(c)
+    hi = connections.higher_string_form(liecore.pontrjagyn_polynomial(), c)
+    # the check's own normalization of p1: -(1/4 pi^2) Int <F, nabla Phi> dtheta
+    lo = fc.form_sum([fc.integrate_loop_form(fc.wedge_pair(c.F, c.nabla_phi))],
+                     [-1.0 / (4.0 * pi ** 2)])
     diff = fc.form_sum([hi, lo], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
@@ -587,7 +588,7 @@ def _string_independence(cfg: RunConfig, rng) -> float:
     dim = 3
     c0 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     c1 = sampling.random_lg_connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-    f = liecore.InvariantPolynomial(2, -1.0 / (8.0 * pi ** 2))
+    f = liecore.pontrjagyn_polynomial()
     psi = connections.independence_homotopy_form(f, c0, c1)
     dpsi = fc.exterior_derivative(psi, cfg.fd_step)
     s0 = connections.higher_string_form(f, c0)
@@ -604,7 +605,8 @@ def _string_gauge(cfg: RunConfig, rng, variant) -> float:
     c = variant.connection(rng, dim, cfg.samples, cfg.n, fd_step=cfg.fd_step)
     sigma = variant.gauge(rng, dim, cfg.samples, cfg.n)
     ct = connections.gauge_transform(c, sigma)
-    diff = fc.form_sum([connections.string_form(c), connections.string_form(ct)], [1.0, -1.0])
+    s = partial(connections.higher_string_form, liecore.pontrjagyn_polynomial())
+    diff = fc.form_sum([s(c), s(ct)], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
 
@@ -618,10 +620,8 @@ def _string_reduction(cfg: RunConfig, rng) -> float:
         A=base.A, a=zero_a, phi=base.phi, dim=dim, N=cfg.samples, n=cfg.n,
         fd_step=cfg.fd_step,
     )
-    diff = fc.form_sum(
-        [connections.string_form(ext), connections.string_form(base)],
-        [1.0, -1.0],
-    )
+    s = partial(connections.higher_string_form, liecore.pontrjagyn_polynomial())
+    diff = fc.form_sum([s(ext), s(base)], [1.0, -1.0])
     pts = sampling.random_chart_points(rng, dim, 3)
     return fc.max_coeff(diff, pts)
 
@@ -745,10 +745,13 @@ def _frame_eval_residual(form_a: fc.FormField, form_b: fc.FormField, rng, pts) -
 @_check("caloron.pontrjagyn_matches_string_twisted", "caloron",
         "caloron/characteristic-integration", 1e-4, variant=_LGXS1)
 def _caloron_pont(cfg: RunConfig, rng, variant) -> float:
+    f = liecore.pontrjagyn_polynomial()
+
     def trial():
         c = variant.connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
-        p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = connections.string_form(c)
+        cyl = connections.string_cylinder(c)
+        p1 = fc.fiber_integrate_poly_wedge([cyl, cyl], f)
+        s = connections.higher_string_form(f, c)
         pts = sampling.random_chart_points(rng, 3, 1)
         return _frame_eval_residual(p1, s, rng, pts)
 
@@ -780,8 +783,10 @@ def _caloron_loop_bundle_slice(cfg: RunConfig, rng) -> float:
     )
     pts = sampling.random_chart_points(rng, dim, 2)
     transport = caloron.g_curvature_transport_check(c, pts)
-    p1 = caloron.pontrjagyn_fiber_integral(c)
-    s = connections.string_form(c)
+    f = liecore.pontrjagyn_polynomial()
+    cyl = connections.string_cylinder(c)
+    p1 = fc.fiber_integrate_poly_wedge([cyl, cyl], f)
+    s = connections.higher_string_form(f, c)
     return fc._worst([transport, _frame_eval_residual(p1, s, rng, pts)])
 
 
@@ -915,17 +920,16 @@ def _pathfib_nabla(cfg: RunConfig, rng) -> float:
 
 
 @_check("pathfib.higher_transgression.k2", "pathfib", "transgression/frame-match", 1e-6,
-        k=2, scale=-1.0 / (8.0 * pi ** 2), trials=5, n=None)
+        f=liecore.pontrjagyn_polynomial(), trials=5, n=None)
 @_check("pathfib.higher_transgression.k3", "pathfib", "transgression/frame-match", 1e-6,
-        k=3, scale=1.0, trials=3, n=3)
-def _transgression_residual(cfg: RunConfig, rng, k: int, scale: float, trials: int,
+        f=liecore.InvariantPolynomial(3), trials=3, n=3)
+def _transgression_residual(cfg: RunConfig, rng, f: liecore.InvariantPolynomial, trials: int,
                            n: int | None) -> float:
     alpha = pathfib.default_cutoff(cfg.pathfib_samples)
     p = pathfib.higgs_holonomy(_path_xi(cfg, rng, n))
-    f = liecore.InvariantPolynomial(k, scale)
 
     def trial():
-        frame = sampling.random_frame(rng, n or cfg.n, 2 * k - 1)
+        frame = sampling.random_frame(rng, n or cfg.n, 2 * f.degree - 1)
         _, _, resid = pathfib.pf_higher_string_vs_transgression(f, p, frame, alpha)
         return resid
 

@@ -5,6 +5,7 @@ import pytest
 
 from loopforms import caloron, connections as cn, formscalc as fc, loopspace as lp
 from loopforms import report as rp, sampling
+from loopforms.liecore import pontrjagyn_polynomial
 
 from helpers import zero_form
 
@@ -228,24 +229,29 @@ class TestRoundTrip:
         assert np.max(np.abs(back.phi(np.zeros(2)) - xi)) < 1e-14
 
 
+def _p1_routes(c):
+    """Int_S1 p1(cyl, cyl) of the string cylinder, and the string form at p1."""
+    f = pontrjagyn_polynomial()
+    cyl = cn.string_cylinder(c)
+    return fc.fiber_integrate_poly_wedge([cyl, cyl], f), cn.higher_string_form(f, c)
+
+
 class TestPontrjagyn:
     def test_flat_is_zero(self):
         c = _flat_connection(3)
-        form = caloron.pontrjagyn_fiber_integral(c)
+        form, _ = _p1_routes(c)
         assert fc.max_coeff(form, [np.zeros(3)]) < 1e-15
 
     def test_matches_string_form(self):
         c = sampling.random_lg_connection(RNG, 3, N, 2)
-        p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form(c)
+        p1, s = _p1_routes(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
 
     def test_scaling_bilinearity(self):
         # doubling the pairing normalization doubles both routes identically
         c = sampling.random_lg_connection(RNG, 3, N, 2)
-        p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form(c)
+        p1, s = _p1_routes(c)
         p = 0.3 * RNG.standard_normal(3)
         idx = (0, 1, 2)
         assert 2 * p1.coeff(p, idx) == pytest.approx(
@@ -254,8 +260,7 @@ class TestPontrjagyn:
 
     def test_twisted_matches_string_form(self):
         c = sampling.random_lgxs1_connection(RNG, 3, N, 2)
-        p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form(c)
+        p1, s = _p1_routes(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
 
@@ -264,15 +269,10 @@ class TestPontrjagyn:
         ext = cn.LGxS1ConnectionData(
             base.A, fc.FormField(1, 3, lambda p, idx: 0.0), base.phi, 3, N, 2
         )
-        f1 = caloron.pontrjagyn_fiber_integral(base)
-        f2 = caloron.pontrjagyn_fiber_integral(ext)
+        f1, _ = _p1_routes(base)
+        f2, _ = _p1_routes(ext)
         diff = fc.form_sum([f1, f2], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-12
-
-    def test_dimension_guard(self):
-        c = sampling.random_lg_connection(RNG, 2, N, 2)
-        with pytest.raises(ValueError):
-            caloron.pontrjagyn_fiber_integral(c)
 
 
 class TestLoopBundleSlice:
@@ -293,7 +293,6 @@ class TestLoopBundleSlice:
         )
         pts = [0.3 * RNG.standard_normal(dim)]
         assert caloron.g_curvature_transport_check(c, pts) < 1e-5
-        p1 = caloron.pontrjagyn_fiber_integral(c)
-        s = cn.string_form(c)
+        p1, s = _p1_routes(c)
         diff = fc.form_sum([p1, s], [1.0, -1.0])
         assert fc.max_coeff(diff, pts) < 1e-5

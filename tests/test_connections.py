@@ -8,7 +8,7 @@ from loopforms import connections as cn
 from loopforms import formscalc as fc
 from loopforms import loopspace as lp
 from loopforms import sampling
-from loopforms.liecore import InvariantPolynomial
+from loopforms.liecore import InvariantPolynomial, pontrjagyn_polynomial
 
 from helpers import su2_basis, zero_form
 
@@ -119,22 +119,23 @@ class TestCovariantHiggsLG:
 class TestStringFormLG:
     def test_flat_covariantly_constant(self):
         c = const_phi_connection(3, X1)
-        s = cn.string_form(c)
+        s = cn.higher_string_form(pontrjagyn_polynomial(), c)
         assert fc.max_coeff(s, [np.zeros(3)]) < 1e-14
 
     def test_matches_higher_string_form(self):
+        # the degree-3 form -(1/4 pi^2) Int <F, nabla Phi> dtheta, typed out
         dim = 3
         c = sampling.random_lg_connection(RNG, dim, N, 2)
-        f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
-        hi = cn.higher_string_form(f, c)
-        lo = cn.string_form(c)
+        hi = cn.higher_string_form(pontrjagyn_polynomial(), c)
+        pair = fc.integrate_loop_form(fc.wedge_pair(c.F, c.nabla_phi))
+        lo = fc.form_sum([pair], [-1.0 / (4 * np.pi ** 2)])
         diff = fc.form_sum([hi, lo], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(dim)]) < 1e-13
 
     def test_closed(self):
         dim = 4
         c = sampling.random_lg_connection(RNG, dim, N, 2)
-        ds = fc.exterior_derivative(cn.string_form(c), 1e-4)
+        ds = fc.exterior_derivative(cn.higher_string_form(pontrjagyn_polynomial(), c), 1e-4)
         assert fc.max_coeff(ds, [0.2 * RNG.standard_normal(dim)]) < 1e-5
 
     def test_gauge_invariance_pointwise(self):
@@ -142,7 +143,8 @@ class TestStringFormLG:
         c = sampling.random_lg_connection(RNG, dim, N, 2)
         sigma = sampling.random_gauge_loop(RNG, dim, N, 2)
         ct = cn.gauge_transform(c, sigma)
-        diff = fc.form_sum([cn.string_form(c), cn.string_form(ct)], [1.0, -1.0])
+        f = pontrjagyn_polynomial()
+        diff = fc.form_sum([cn.higher_string_form(f, c), cn.higher_string_form(f, ct)], [1.0, -1.0])
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(dim)]) < 1e-5
 
     def test_curvature_gauge_covariance(self):
@@ -201,6 +203,50 @@ class TestHigherStringForm:
         s5 = cn.higher_string_form(InvariantPolynomial(3), c)
         s5.coeff(0.3 * RNG.standard_normal(5), (0, 1, 2, 3, 4))
         assert calls == [3] * 15
+
+
+class TestFiberIntegralRoute:
+    # Int_S1 f(cyl, ..., cyl) of the string cylinder is the string form: the
+    # fiber integral keeps the k terms with one gamma = nabla Phi.  On LG x| S1
+    # data beta = F~ - a ^ nabla Phi, and a ^ nabla Phi meets nabla Phi in
+    # the symmetric f, where the pair cancels to round-off.
+    CASES = {"k2": (2, 3), "k3": (3, 5)}  # k -> (n, chart dim 2k - 1)
+
+    @staticmethod
+    def _route_residual(k, twisted, seed):
+        """|fiber integral - string form| and its round-off bound."""
+        rng = np.random.default_rng(seed)
+        n, dim = TestFiberIntegralRoute.CASES[f"k{k}"]
+        draw = sampling.random_lgxs1_connection if twisted else sampling.random_lg_connection
+        c = draw(rng, dim, 16, n)
+        f = InvariantPolynomial(k) if k == 3 else pontrjagyn_polynomial()
+        cyl = cn.string_cylinder(c)
+        route = fc.fiber_integrate_poly_wedge([cyl] * k, f)
+        p, top = 0.3 * rng.standard_normal(dim), tuple(range(dim))
+        s = cn.higher_string_form(f, c).coeff(p, top)
+        bound = 16 * np.finfo(float).eps * max(1.0, abs(s))
+        return abs(route.coeff(p, top) - s), bound
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("twisted", [False, True], ids=["lg", "lgxs1"])
+    @pytest.mark.parametrize("k", [2, 3], ids=["k2", "k3"])
+    def test_matches_string_form(self, k, twisted, seed):
+        resid, bound = self._route_residual(k, twisted, seed)
+        assert resid <= bound
+
+    @pytest.mark.parametrize("twisted", [False, True], ids=["lg", "lgxs1"])
+    def test_sees_a_scaled_k3_string_form(self, twisted, monkeypatch):
+        # a relative error of 1e-6 in the degree-5 form alone, which no
+        # closedness or gauge check can see
+        build = cn.higher_string_form
+
+        def scaled(f, c):
+            s = build(f, c)
+            return fc.form_sum([s], [1.0 + 1e-6]) if f.degree == 3 else s
+
+        monkeypatch.setattr(cn, "higher_string_form", scaled)
+        resid, bound = self._route_residual(3, twisted, 1)
+        assert resid > bound
 
 
 class TestLGxS1:
@@ -292,8 +338,10 @@ class TestLGxS1:
             base.A, fc.FormField(1, dim, lambda p, idx: 0.0), base.phi, dim, N, 2
         )
         p = 0.3 * RNG.standard_normal(dim)
+        f = pontrjagyn_polynomial()
         assert np.array_equal(
-            cn.string_form(ext).coeff(p, (0, 1, 2)), cn.string_form(base).coeff(p, (0, 1, 2))
+            cn.higher_string_form(f, ext).coeff(p, (0, 1, 2)),
+            cn.higher_string_form(f, base).coeff(p, (0, 1, 2)),
         )
 
     def test_string_form_flat_zero(self):
@@ -303,7 +351,7 @@ class TestLGxS1:
             lambda p: np.zeros((N, 2, 2), dtype=complex),
             3, N, 2,
         )
-        s = cn.string_form(ext)
+        s = cn.higher_string_form(pontrjagyn_polynomial(), ext)
         assert fc.max_coeff(s, [np.zeros(3)]) < 1e-15
 
     def test_twisted_gauge_invariance(self):
@@ -311,8 +359,9 @@ class TestLGxS1:
         c = sampling.random_lgxs1_connection(RNG, dim, N, 2)
         sigma = sampling.random_semidirect_gauge(RNG, dim, N, 2)
         ct = cn.gauge_transform(c, sigma)
+        f = pontrjagyn_polynomial()
         diff = fc.form_sum(
-            [cn.string_form(c), cn.string_form(ct)], [1.0, -1.0]
+            [cn.higher_string_form(f, c), cn.higher_string_form(f, ct)], [1.0, -1.0]
         )
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(dim)]) < 1e-5
 
@@ -336,7 +385,7 @@ class TestLGxS1:
 class TestIndependence:
     def test_equal_connections_give_zero(self):
         c = sampling.random_lg_connection(RNG, 3, N, 2)
-        f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
+        f = pontrjagyn_polynomial()
         psi = cn.independence_homotopy_form(f, c, c)
         assert fc.max_coeff(psi, [0.3 * RNG.standard_normal(3)]) < 1e-14
 
@@ -344,7 +393,7 @@ class TestIndependence:
         dim = 3
         c0 = sampling.random_lg_connection(RNG, dim, N, 2)
         c1 = sampling.random_lg_connection(RNG, dim, N, 2)
-        f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
+        f = pontrjagyn_polynomial()
         psi = cn.independence_homotopy_form(f, c0, c1)
         dpsi = fc.exterior_derivative(psi, 1e-4)
         s0 = cn.higher_string_form(f, c0)
@@ -356,7 +405,7 @@ class TestIndependence:
         dim = 3
         c0 = sampling.random_lg_connection(RNG, dim, N, 2)
         pert = sampling.random_lg_connection(RNG, dim, N, 2)
-        f = InvariantPolynomial(2, -1.0 / (8 * np.pi ** 2))
+        f = pontrjagyn_polynomial()
 
         def perturbed(eps):
             A = fc.form_sum([c0.A, pert.A], [1.0, eps])
@@ -593,6 +642,6 @@ class TestChartMaps:
             assert c_form.phi is form
             np.testing.assert_array_equal(c_plain.phi(p), form(p))
             np.testing.assert_array_equal(
-                cn.string_form(c_plain).coeff(p, (0, 1, 2)),
-                cn.string_form(c_form).coeff(p, (0, 1, 2)),
+                cn.higher_string_form(pontrjagyn_polynomial(), c_plain).coeff(p, (0, 1, 2)),
+                cn.higher_string_form(pontrjagyn_polynomial(), c_form).coeff(p, (0, 1, 2)),
             )

@@ -239,7 +239,7 @@ class TestWedge:
 
     def test_zero_form_slot(self):
         # a 0-form slot takes its value at the point: the Higgs-field terms of
-        # nabla Phi, string_form and string_cylinder, bit for bit
+        # nabla Phi and of F~ = F + f Phi, bit for bit
         dim, N = 3, 16
         A = sampling.random_loop_one_form(RNG, dim, N, 2)
         a = sampling.random_real_one_form(RNG, dim)

@@ -203,6 +203,29 @@ class TestRegistry:
         assert not rec.passed
 
 
+class TestP1Normalization:
+    # p1 = -(1/8 pi^2) <., .> is written once, in liecore.  Two checks hold
+    # it against a normalization of their own: string.higher_matches_degree3
+    # against -(1/4 pi^2) Int <F, nabla Phi> dtheta, pathfib.generator
+    # against the generator (1/48 pi^2) <., [., .]>.
+    NAMES = ("pathfib.generator", "string.higher_matches_degree3")
+
+    def test_checks_fail_a_scaled_p1(self, monkeypatch):
+        p1 = rp.liecore.pontrjagyn_polynomial
+
+        def scaled():
+            f = p1()
+            return rp.liecore.InvariantPolynomial(f.degree, (1.0 + 1e-6) * f.scale)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("loopforms") and getattr(module, "pontrjagyn_polynomial", None) is p1:
+                monkeypatch.setattr(module, "pontrjagyn_polynomial", scaled)
+        checks = [c for c in rp.checks_for("all") if c.name in self.NAMES]
+        monkeypatch.setattr(rp, "_REGISTRY", checks)
+        report = rp.run_suite(rp.RunConfig())
+        assert {c.name: c.status for c in report.checks} == dict.fromkeys(self.NAMES, "FAIL")
+
+
 class TestEmit:
     def test_json_shape(self, lie_report):
         payload = json.loads(rp.emit_report(lie_report, "json"))
@@ -716,8 +739,8 @@ class TestStep:
     # Each is tested by the step its stencil receives: the fd_step of the
     # connection data handed to the builder named here.
     SAME_STENCIL = {
-        "caloron.pontrjagyn_matches_string": "caloron.pontrjagyn_fiber_integral",
-        "caloron.pontrjagyn_matches_string_twisted": "caloron.pontrjagyn_fiber_integral",
+        "caloron.pontrjagyn_matches_string": "connections.higher_string_form",
+        "caloron.pontrjagyn_matches_string_twisted": "connections.higher_string_form",
         "string.higher_matches_degree3": "connections.higher_string_form",
     }
 
