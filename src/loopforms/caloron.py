@@ -150,16 +150,13 @@ def g_curvature_transport_check(
     """Max residual between the finite-difference curvature of the assembled
     G-connection and the closed transport form, over the given base points.
     Takes LG or LG x| S1 data; the latter is checked against the twisted
-    transport form.  The default chart takes the data's step.
-
-    The G-connection is assembled anew at each base point: two base points
-    share no chart point, so nothing in its memos serves the next one, and
-    they go with it; the group points stay on the chart's ``group_map``."""
+    transport form.  The default chart takes the data's step, and the
+    G-connection is assembled once for all base points."""
     chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n, fd_step=c.fd_step)
     u = u if u is not None else np.zeros(chart.group_dim)
+    cg = to_g_connection(c, chart)
     residuals = []
     for x in points:
-        cg = to_g_connection(c, chart)
         x = np.asarray(x, dtype=float)
         target = transport_target(c, chart, x, u)
         for key, val in g_curvature_components(cg, np.concatenate([x, u])).items():

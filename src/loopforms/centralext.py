@@ -54,7 +54,8 @@ def r_form(point, X, Y) -> float:
 
 def alpha_form(point, tangents) -> float:
     """alpha = (1/2 pi) Int <xi_1, Z(gamma_2)> dtheta (i stripped); on
-    LG x| S1 points with the -(1/2) mu Z correction of the rotated extension."""
+    LG x| S1 points with the -(1/2) mu Z correction of the rotated extension.
+    It reads only gamma_2 and xi_1: at (1, g) on xi, ``alpha_form((None, g), (xi,))``."""
     g2 = point[1]
     t1 = tangents[0]
     if isinstance(g2, lp.SemiDirectGroupElement):
@@ -177,15 +178,13 @@ def epsilon_form(c, tau: Callable, point: np.ndarray, X: np.ndarray) -> float:
 
     tau maps chart points to group values (the gauge difference of the two
     sections); X is a single chart tangent, which moves both sections.
+    epsilon is alpha at (1, tau(p)) on A(X), with a(X) added on LG x| S1.
     """
     X = np.asarray(X, dtype=float)
     AX = fc.evaluate(c.A, point, [X])
     if isinstance(c, LGxS1ConnectionData):
-        z = tau(point).z
-        aX = fc.evaluate(c.a, point, [X])
-        return _pair_integral(AX - 0.5 * aX * z, z)
-    z = lp.z_map(tau(point))
-    return _pair_integral(AX, z)
+        AX = lp.SemiDirectAlgebraElement(AX, fc.evaluate(c.a, point, [X]))
+    return alpha_form((None, tau(point)), (AX,))
 
 
 def delta_epsilon_vs_tau_alpha(
@@ -246,8 +245,7 @@ def reduced_splitting(phi_value: np.ndarray, a: lp.SemiDirectAlgebraElement) -> 
 
 def group_cocycle_sigma(g: lp.SemiDirectGroupElement, a: lp.SemiDirectAlgebraElement) -> float:
     """sigma((gamma, phi)^{-1}, (xi, x)) = alpha_{((1,1),(gamma,phi))}((xi, x), 0)."""
-    z = g.z
-    return _pair_integral(a.loop_part - 0.5 * a.circle_part * z, z)
+    return alpha_form((None, g), (a,))
 
 
 def reduced_splitting_transformation_residual(

@@ -144,6 +144,8 @@ def independence_homotopy_form(
     integrated in t, then fiber-integrated back.  The t-integrand has
     degree 2(k - 1) in t, so k Gauss-Legendre nodes on [0, 1] are exact.
     """
+    if isinstance(c0, LGxS1ConnectionData) or isinstance(c1, LGxS1ConnectionData):
+        raise TypeError("independence_homotopy_form takes LGConnectionData only")
     if (c0.dim, c0.N, c0.n) != (c1.dim, c1.N, c1.n):
         raise ValueError("connection data live on different discretizations")
     k = f.degree

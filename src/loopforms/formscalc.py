@@ -53,9 +53,10 @@ class FormField:
     form those of the last point (see :func:`_memo`): stencils ask the data
     forms (Higgs field, gauge map, connection) again and again, while a
     higher form is asked once per component at each stencil point.
-    ``keep`` sets another number of points, for a form asked on a stencil
-    of stencils.  A 0-form such as a Higgs field or a gauge map is called
-    on a point: ``phi(p)``.
+    ``keep`` sets another number of points: more for a form asked on a
+    stencil of stencils, 0 for a form whose one parent keeps its values
+    (:func:`exterior_derivative` above degree 0, :func:`half_bracket`).
+    A 0-form (a Higgs field, a gauge map) is called on a point: ``phi(p)``.
     """
 
     degree: int
@@ -66,7 +67,7 @@ class FormField:
     def __post_init__(self) -> None:
         if self.degree < 0 or self.dim < 1:
             raise DegreeError(f"bad degree {self.degree} or dim {self.dim}")
-        points = self.keep or (STENCIL_POINTS if self.degree <= 1 else 1)
+        points = (STENCIL_POINTS if self.degree <= 1 else 1) if self.keep is None else self.keep
         object.__setattr__(self, "coeff", _memo(self.coeff, points))
 
     def __call__(self, p):
@@ -86,7 +87,7 @@ def chart_function(fn, dim: int, keep: int | None = None) -> FormField:
 
 
 def _memo(raw, points: int):
-    """``raw`` with its values kept for the last ``points`` points asked.
+    """``raw`` with its values kept for the last ``points`` points asked, if any.
 
     Points are told apart by their bytes, so one ulp or the sign of a zero
     makes a new point; past ``points`` of them the earliest is dropped.
@@ -94,6 +95,8 @@ def _memo(raw, points: int):
     raises rather than corrupting the memo, and an array the closure owns
     stays writeable.
     """
+    if points == 0:
+        return raw
     kept: dict = {}  # point bytes -> {idx: value}, oldest point first
 
     @wraps(raw, updated=())
@@ -259,7 +262,7 @@ def half_bracket(A: FormField) -> FormField:
     """
     if A.degree != 1:
         raise DegreeError(f"(1/2)[A, A] takes a 1-form, not degree {A.degree}")
-    return FormField(2, A.dim, lambda p, idx: bracket(A.coeff(p, idx[:1]), A.coeff(p, idx[1:])))
+    return FormField(2, A.dim, lambda p, idx: bracket(A.coeff(p, idx[:1]), A.coeff(p, idx[1:])), 0)
 
 
 def wedge_pair(A: FormField, B: FormField) -> FormField:
@@ -373,7 +376,7 @@ def exterior_derivative(form: FormField, step: float = 1e-4) -> FormField:
             total = term if total is None else total + term
         return total
 
-    return FormField(form.degree + 1, form.dim, coeff)
+    return FormField(form.degree + 1, form.dim, coeff, keep=0 if form.degree else None)
 
 
 def maurer_cartan(sigma: FormField, step: float) -> FormField:

@@ -110,11 +110,11 @@ class RunConfig:
         CHART_PEAK_LOOPS loops of its own n on the suite grid; that n is the
         run's, or 3 for string.closed.k3.  The caloron curvature holds, at
         one point of the extended chart (d = 2 or 3 base + su(n)
-        directions), d(d-1)/2 components each of F, dA and (1/2)[A, A], and
-        the memos of nabla Phi and of the assembled A and Phi: traced peaks
-        of 599-690 loops at n = 4 and 1229-1347 at n = 5, 64 samples, under
-        2 D^2 loops with D = n^2 + 3 (722 and 1568), which passes
-        CHART_PEAK_LOOPS from n = 4 on.  A lie or loops check holds
+        directions), the d(d-1)/2 components of F (dA and (1/2)[A, A] keep
+        none), and the memos of nabla Phi and of the assembled A and Phi:
+        traced peaks of 356-444 loops at n = 4 and 630-738 at n = 5, 64
+        samples, under 2 D^2 loops with D = n^2 + 3 (722 and 1568), which
+        passes CHART_PEAK_LOOPS from n = 4 on.  A lie or loops check holds
         LOOP_CHECK_PEAK_LOOPS.
         The path-fibration holonomy takes MAGNUS_REFINE * max(4
         pathfib_samples, 1024) Magnus steps."""

@@ -1,9 +1,12 @@
-"""The functions the benchmark's per-layer metrics name still exist.
+"""The functions the benchmark's per-layer metrics name still exist, and
+each workload selects the number of checks it expects.
 
 ``perfbench/tracer.py`` names a span ``<module>.<function>`` after the
 public function it wraps, and its work counters read the first argument
-of the functions in ``tracer.WORK``.  A rename or a new signature would
-otherwise show only in a traced benchmark run.  Both files are only read.
+of the functions in ``tracer.WORK``.  ``perfbench/workloads.py`` pins each
+workload's check count, and the benchmark counts every missing check as a
+failure.  A rename, a new signature or an added or removed check would
+otherwise show only in a benchmark run.  These files are only read.
 """
 
 import importlib
@@ -14,19 +17,22 @@ import pathlib
 
 import pytest
 
+from loopforms import report as rp
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the span the tracer puts on every FormField coefficient, not a module function
 COEFF_SPAN = "formscalc.coeff"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _tracer()
+TRACER = _perfbench("tracer")
+WORKLOADS = _perfbench("workloads").WORKLOADS
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 SUFFIXES = {"calls", "self_s"} | {suffix for suffix, _ in TRACER.WORK.values()}
 
@@ -64,3 +70,9 @@ def test_work_counters_read_xi_first(span):
     params = list(inspect.signature(_public_function(span)).parameters)
     assert params[:1] == ["xi"], f"{span} takes {params}"
 
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_check_count_is_what_its_configs_select(workload):
+    spec = WORKLOADS[workload]
+    selected = sum(len(rp.checks_for(rp.RunConfig(**config).suite)) for config in spec["configs"])
+    assert selected == spec["checks"]

@@ -130,6 +130,16 @@ class TestTransport:
         m = chart.group_dim
         assert len(inputs) == len(set(inputs)) == 1 + 2 * m * m
 
+    def test_one_g_connection_per_check(self, monkeypatch):
+        built = []
+        to_g = caloron.to_g_connection
+        monkeypatch.setattr(caloron, "to_g_connection", lambda *a: built.append(1) or to_g(*a))
+        rng = np.random.default_rng(8)
+        c = sampling.random_lg_connection(rng, 2, N, 2)
+        pts = [0.3 * rng.standard_normal(2) for _ in range(2)]
+        assert caloron.g_curvature_transport_check(c, pts) < 1e-4
+        assert len(built) == 1
+
     def test_twisted_random_data(self):
         c = sampling.random_lgxs1_connection(RNG, 2, N, 2)
         pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]

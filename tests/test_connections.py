@@ -425,6 +425,17 @@ class TestIndependence:
         # psi scales linearly to first order in the perturbation
         assert abs(v2 - 2 * v1) < 40 * eps * max(abs(v1), eps)
 
+    def test_twisted_data_raise(self):
+        # rebuilt as LG data, the interpolants would lose a and f and give the
+        # untwisted primitive
+        rng = np.random.default_rng(8)
+        lg = sampling.random_lg_connection(rng, 3, N, 2)
+        twisted = sampling.random_lgxs1_connection(rng, 3, N, 2)
+        f = pontrjagyn_polynomial()
+        for c0, c1 in ((twisted, twisted), (lg, twisted), (twisted, lg)):
+            with pytest.raises(TypeError):
+                cn.independence_homotopy_form(f, c0, c1)
+
 
 class TestGaugeTransformBasics:
     def test_identity_gauge_is_noop(self):

@@ -670,6 +670,41 @@ class TestMemo:
                 assert phi(p) == p[0]
         assert len(calls) == fc.STENCIL_POINTS + 9
 
+    @staticmethod
+    def counting(monkeypatch, name):
+        # counts the calls formscalc makes to one of its loopspace imports
+        calls = []
+        fn = getattr(fc, name)
+        monkeypatch.setattr(fc, name, lambda *args: calls.append(1) or fn(*args))
+        return calls
+
+    def test_d_of_one_form_and_half_bracket_keep_nothing(self, monkeypatch):
+        # F keeps the values; dA and (1/2)[A, A] are asked again only by F
+        rng = np.random.default_rng(8)
+        central = self.counting(monkeypatch, "central")
+        brackets = self.counting(monkeypatch, "bracket")
+        A = sampling.random_loop_one_form(rng, 3, 16, 2)
+        dA, AA = fc.exterior_derivative(A, 1e-4), fc.half_bracket(A)
+        p = 0.3 * rng.standard_normal(3)
+        for _ in range(2):
+            dA.coeff(p, (0, 2))
+            AA.coeff(p, (0, 2))
+        assert (len(central), len(brackets)) == (4, 2)
+        assert fc._memo(A.coeff, 0) is A.coeff
+
+    def test_curvature_and_d_of_zero_form_keep_their_values(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        central = self.counting(monkeypatch, "central")
+        brackets = self.counting(monkeypatch, "bracket")
+        A = sampling.random_loop_one_form(rng, 3, 16, 2)
+        F = fc.form_sum([fc.exterior_derivative(A, 1e-4), fc.half_bracket(A)])
+        dphi = fc.exterior_derivative(fc.FormField(0, 3, lambda p, idx: p[0] * p[1]), 1e-4)
+        p = 0.3 * rng.standard_normal(3)
+        for _ in range(2):
+            F.coeff(p, (0, 2))
+            dphi.coeff(p, (1,))
+        assert (len(central), len(brackets)) == (3, 1)
+
     def test_chart_function(self):
         phi = fc.chart_function(lambda p: 2.0 * p[0], 2)
         assert (phi.degree, phi.dim) == (0, 2)
