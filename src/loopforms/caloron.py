@@ -8,6 +8,9 @@ every coefficient a loop over the theta grid, and its curvature is
 ``string_cylinder`` of that data: F on chart pairs, nabla Phi on
 (direction, theta).  Base and group derivatives are the one stencil
 ``formscalc.exterior_derivative``; theta derivatives are spectral.
+``on_section`` reads any form on the extended chart back on the base, as
+its pullback along x -> (x, u): the data off the canonical section, or the
+fibre integral of p1 of the G-curvature, which is the string class.
 """
 
 from __future__ import annotations
@@ -97,17 +100,23 @@ def to_g_connection(
                             fd_step=chart.fd_step)
 
 
+def on_section(form: fc.FormField, chart: ExtendedChart, u: np.ndarray) -> fc.FormField:
+    """Pullback of a form on the extended chart along the section x -> (x, u):
+    ``formscalc.pullback`` with the constant Jacobian, whose base rows are
+    the identity.  A base component comes back bit for bit as the form's
+    component at (x, u); group components drop out."""
+    b = chart.base_dim
+    jacobian = np.eye(b + chart.group_dim, b)
+    return fc.pullback(form, lambda x: np.concatenate([x, u]), b, lambda x: jacobian)
+
+
 def from_g_connection(cg: LGConnectionData, chart: ExtendedChart) -> LGConnectionData:
-    """Read (A, Phi) back off the canonical section: the base slots of
-    ``cg.A`` and ``cg.phi`` at the group point where g = identity."""
+    """Read (A, Phi) back off the canonical section: ``cg.A`` and ``cg.phi``
+    pulled back along x -> (x, u*), where g(u*) = identity."""
     u_star = chart.identity_coordinates()
-
-    def section(x):
-        return np.concatenate([x, u_star])
-
     return LGConnectionData(
-        A=fc.FormField(1, chart.base_dim, lambda x, idx: cg.A.coeff(section(x), idx)),
-        phi=lambda x: cg.phi(section(x)),
+        A=on_section(cg.A, chart, u_star),
+        phi=on_section(cg.phi, chart, u_star),
         dim=chart.base_dim,
         N=chart.N,
         n=chart.n,

@@ -327,12 +327,14 @@ def _minor(m) -> float:
 def _minor_sum(form: FormField, point, rows: np.ndarray):
     """sum_I det(rows[:, I]) c_I(point) over increasing q-tuples I.
 
-    ``rows`` is q x dim.  Zero minors are skipped; if every minor is zero
-    the sum is a zero of the coefficients' shape.
+    ``rows`` is q x dim.  Zero minors are skipped, and tuples through a zero
+    column are never formed (a section's Jacobian has one nonzero q-minor
+    among C(dim, q)); if every minor is zero the sum is a zero of the
+    coefficients' shape.
     """
     q = form.degree
     total = None
-    for idx in combinations(range(form.dim), q):
+    for idx in combinations([j for j in range(form.dim) if rows[:, j].any()], q):
         det = _minor(rows[:, idx])
         if det == 0.0:
             continue

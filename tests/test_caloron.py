@@ -285,6 +285,80 @@ class TestPontrjagyn:
         assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-12
 
 
+class TestOnSection:
+    def test_base_components_bit_for_bit(self):
+        rng = np.random.default_rng(331)
+        c = sampling.random_lgxs1_connection(rng, 2, N, 2)
+        chart = caloron.ExtendedChart(2, N, 2, g0=sampling.random_group(rng, 2, 0.5))
+        cg = caloron.to_g_connection(c, chart)
+        u = 0.3 * rng.standard_normal(chart.group_dim)
+        x = 0.3 * rng.standard_normal(2)
+        xu = np.concatenate([x, u])
+        A, phi = caloron.on_section(cg.A, chart, u), caloron.on_section(cg.phi, chart, u)
+        assert (A.degree, A.dim, phi.degree, phi.dim) == (1, 2, 0, 2)
+        for i in range(2):
+            assert A.coeff(x, (i,)).tobytes() == cg.A.coeff(xu, (i,)).tobytes()
+        assert phi(x).tobytes() == cg.phi(xu).tobytes()
+
+    def test_one_minor_per_component(self, monkeypatch):
+        # a 3-form on 3 + 15 coordinates (n = 4): the section's Jacobian has
+        # one nonzero 3-minor, and the C(18, 3) others are never formed
+        chart = caloron.ExtendedChart(3, N, 4)
+        dim = 3 + chart.group_dim
+        form = fc.FormField(3, dim, lambda p, idx: float(sum(idx)))
+        minor = fc._minor
+        calls = []
+        monkeypatch.setattr(fc, "_minor", lambda m: calls.append(1) or minor(m))
+        s = caloron.on_section(form, chart, np.zeros(chart.group_dim))
+        assert s.coeff(np.zeros(3), (0, 1, 2)) == 3.0
+        assert len(calls) == 1
+
+
+class TestCaloronPontrjagyn:
+    @pytest.mark.parametrize("connection", [sampling.random_lg_connection,
+                                            sampling.random_lgxs1_connection],
+                             ids=["lg", "twisted"])
+    def test_g_connection_route_matches_string_form(self, connection):
+        # p1 of the G-connection over the (circle-extended) chart, integrated
+        # over the circle and read off a section at a generic group point
+        rng = np.random.default_rng(332)
+        c = connection(rng, 3, N, 2)
+        chart = caloron.ExtendedChart(3, N, 2, g0=sampling.random_group(rng, 2, 0.5))
+        u = 0.3 * rng.standard_normal(chart.group_dim)
+        cyl = cn.string_cylinder(caloron.to_g_connection(c, chart))
+        f = pontrjagyn_polynomial()
+        p1 = caloron.on_section(fc.fiber_integrate_poly_wedge([cyl, cyl], f), chart, u)
+        diff = fc.form_sum([p1, cn.higher_string_form(f, c)], [1.0, -1.0])
+        assert fc.max_coeff(diff, [0.3 * rng.standard_normal(3)]) < 1e-8
+
+    @staticmethod
+    def _assembly_minus_a_phi(monkeypatch):
+        to_g = caloron.to_g_connection
+
+        def mutant(c, chart=None):
+            if isinstance(c, cn.LGxS1ConnectionData):
+                c = replace(c, a=fc.form_sum([c.a], [-1.0]))
+            return to_g(c, chart)
+
+        monkeypatch.setattr(caloron, "to_g_connection", mutant)
+
+    @staticmethod
+    def _f_tilde_drops_f_phi(monkeypatch):
+        monkeypatch.setattr(cn._ConnectionChart, "F_tilde", property(lambda self: self.F))
+
+    NAMES = ("caloron.pontrjagyn_matches_string", "caloron.pontrjagyn_matches_string_twisted")
+
+    @pytest.mark.parametrize("plant", ["_assembly_minus_a_phi", "_f_tilde_drops_f_phi"])
+    def test_twisted_check_fails_a_twisted_mutant(self, plant, monkeypatch):
+        # G-connection Ad(g^{-1})(A - a Phi) + ..., or F~ = F on LG x| S1
+        # data: only the twisted twin reads the twist
+        getattr(self, plant)(monkeypatch)
+        checks = [c for c in rp.checks_for("caloron") if c.name in self.NAMES]
+        monkeypatch.setattr(rp, "_REGISTRY", checks)
+        report = rp.run_suite(rp.RunConfig(suite="caloron"))
+        assert {c.name: c.status for c in report.checks} == dict(zip(self.NAMES, ("pass", "FAIL")))
+
+
 class TestLoopBundleSlice:
     def test_theta_independent_specialization(self):
         dim = 3

@@ -98,13 +98,16 @@ class TestRunSuite:
          for name in ("string.independence", "string.closed.k3", "string.gauge_invariance_twisted")]
         + [pytest.param(name, n, 64, id=f"{name}-n{n}")
            for name in ("caloron.transport", "caloron.transport_twisted",
-                        "caloron.transport_twisted.step_refinement", "caloron.loop_bundle_slice")
+                        "caloron.transport_twisted.step_refinement", "caloron.loop_bundle_slice",
+                        "caloron.pontrjagyn_matches_string",
+                        "caloron.pontrjagyn_matches_string_twisted")
            for n in (4, 5)],
     )
     def test_memory_budget_covers_traced_peak(self, name, n, samples):
         # the heaviest chart checks, at n = 3 where every check counts in
-        # loops of its own n, and the caloron curvature checks from n = 4 on,
-        # where its term of the budget passes CHART_PEAK_LOOPS
+        # loops of its own n, and the caloron checks that build the extended
+        # chart from n = 4 on, where its term of the budget passes
+        # CHART_PEAK_LOOPS
         import tracemalloc
 
         cfg = rp.RunConfig(n=n, samples=samples)
@@ -593,6 +596,29 @@ class TestCoeffRepeats:
         assert "5 checks, all passed" in proc.stdout
 
 
+class TestMutationSweep:
+    SCRIPT = str(ROOT / "scripts" / "mutation_sweep.py")
+
+    def test_one_mutant_on_the_caloron_suite(self):
+        proc = subprocess.run(
+            [sys.executable, self.SCRIPT, "--suite", "caloron", "--mutant", "M6"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (row,) = [line for line in proc.stdout.splitlines() if line.startswith("M6 ")]
+        killers = {word.rstrip(",") for word in row.split()}
+        assert "caloron.pontrjagyn_matches_string_twisted" in killers
+        assert "caloron.pontrjagyn_matches_string" not in killers
+        assert proc.stdout.splitlines()[-1] == "killed 1 of 1 (1.00)"
+
+    def test_unknown_mutant_runs_nothing(self):
+        proc = subprocess.run(
+            [sys.executable, self.SCRIPT, "--mutant", "M0"], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "unknown mutant" in proc.stderr and proc.stdout == ""
+
+
 class TestDiffReports:
     def run_diff(self, tmp_path, before, after):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -727,6 +753,8 @@ class TestStep:
         ],
         "caloron": [
             "caloron.loop_bundle_slice",
+            "caloron.pontrjagyn_matches_string",
+            "caloron.pontrjagyn_matches_string_twisted",
             "caloron.transport",
             "caloron.transport.base_point",
             "caloron.transport_twisted",
@@ -739,8 +767,6 @@ class TestStep:
     # Each is tested by the step its stencil receives: the fd_step of the
     # connection data handed to the builder named here.
     SAME_STENCIL = {
-        "caloron.pontrjagyn_matches_string": "connections.higher_string_form",
-        "caloron.pontrjagyn_matches_string_twisted": "connections.higher_string_form",
         "string.higher_matches_degree3": "connections.higher_string_form",
     }
 
