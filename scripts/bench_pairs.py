@@ -87,7 +87,8 @@ def cpu_model() -> str:
 
 def machine(env: dict) -> str:
     return (f"{env['nproc']}-core {cpu_model()}, {platform.system()}, Python {env['python']}, "
-            f"numpy {env['numpy']}, scipy {env['scipy']}, BLAS {env['blas_threads']} thread(s); "
+            f"numpy {env['numpy']}, scipy {env.get('scipy', 'not installed')}, "
+            f"BLAS {env['blas_threads']} thread(s); "
             "times at reference speed (perfbench/speedref.py)")
 
 

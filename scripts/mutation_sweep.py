@@ -55,11 +55,20 @@ MUTANTS = (
            "Ai = Ai + c.a.coeff(p[:b], idx) * c.phi(p[:b])",
            "Ai = Ai - c.a.coeff(p[:b], idx) * c.phi(p[:b])"),
     Mutant("M7", "twisted cylinder: sign of a ^ nabla Phi", "connections.py",
-           "fc.wedge_scalar(c.a, c.nabla_phi)], [1.0, -1.0])",
-           "fc.wedge_scalar(c.a, c.nabla_phi)], [1.0, 1.0])"),
+           "fc.wedge_scalar(self.a, self.nabla_phi)], [1.0, -1.0])",
+           "fc.wedge_scalar(self.a, self.nabla_phi)], [1.0, 1.0])"),
     Mutant("M8", "f Phi scaled by 1 + 1e-6", "connections.py",
            "fc.form_sum([self.F, fc.wedge_scalar(self.f, self.phi)])",
            "fc.form_sum([self.F, fc.wedge_scalar(self.f, self.phi)], [1.0, 1.0 + 1e-6])"),
+    Mutant("M9", "transport target conjugated by g, not g^-1", "caloron.py",
+           "lp.adjoint_inverse(g, base[key])",
+           "lp.adjoint(g, base[key])"),
+    Mutant("M10", "wedge_bracket: bracket arguments swapped", "formscalc.py",
+           "poly_wedge([A, B], lambda v: bracket(v[0], v[1]))",
+           "poly_wedge([A, B], lambda v: bracket(v[1], v[0]))"),
+    Mutant("M11", "logarithm scaled by 1 + 1e-6", "liecore.py",
+           "return 0.5 * (L - L.conj().T)",
+           "return (1.0 + 1e-6) * 0.5 * (L - L.conj().T)"),
 )
 
 

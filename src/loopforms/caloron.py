@@ -4,9 +4,12 @@ G-connections over the circle-extended total space.
 The caloron correspondence reads a G-connection over M x S1 as LG data
 (A, Phi) with Phi its dtheta component.  So the assembled G-connection is
 ``LGConnectionData`` on the extended chart's (base, group) coordinates,
-every coefficient a loop over the theta grid, and its curvature is
-``string_cylinder`` of that data: F on chart pairs, nabla Phi on
-(direction, theta).  Base and group derivatives are the one stencil
+every coefficient a loop over the theta grid, and its curvature is that
+data's ``cylinder``: F on chart pairs, nabla Phi on (direction, theta).
+``g_curvature_components`` reads the cylinder of any connection data, so
+the transport check reads both of its sides with it: the G-connection's
+curvature at (x, u), and Ad(g(u)^{-1}) of the base data's transported
+curvature at x.  Base and group derivatives are the one stencil
 ``formscalc.exterior_derivative``; theta derivatives are spectral.
 ``on_section`` reads any form on the extended chart back on the base, as
 its pullback along x -> (x, u): the data off the canonical section, or the
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import formscalc as fc
 from . import loopspace as lp
-from .connections import LGConnectionData, LGxS1ConnectionData, string_cylinder
+from .connections import LGConnectionData, LGxS1ConnectionData
 from .liecore import algebra_coordinates, logarithm, sun_basis
 
 
@@ -124,30 +127,16 @@ def from_g_connection(cg: LGConnectionData, chart: ExtendedChart) -> LGConnectio
     )
 
 
-def g_curvature_components(cg: LGConnectionData, p: np.ndarray) -> dict:
-    """Curvature of the assembled G-connection at the chart point p = (x, u),
-    componentwise: ``string_cylinder(cg)``, F_IJ = d_I A_J - d_J A_I
-    + [A_I, A_J] under (I, J), I < J, and nabla Phi_I, the coefficient of
-    dx^I ^ dtheta, under (I,)."""
-    cyl = string_cylinder(cg)
-    comps = {idx: cyl.beta.coeff(p, idx) for idx in combinations(range(cg.dim), 2)}
-    comps.update({(i,): cyl.gamma.coeff(p, (i,)) for i in range(cg.dim)})
+def g_curvature_components(c: LGConnectionData | LGxS1ConnectionData, p: np.ndarray) -> dict:
+    """The curvature ``c.cylinder`` of any connection data at the chart point
+    p, componentwise: beta under each pair (I, J), I < J, and gamma, the
+    coefficient of dx^I ^ dtheta, under (I,).  On the assembled G-connection
+    at p = (x, u) these are F_IJ = d_I A_J - d_J A_I + [A_I, A_J] and
+    nabla Phi_I."""
+    cyl = c.cylinder
+    comps = {idx: cyl.beta.coeff(p, idx) for idx in combinations(range(c.dim), 2)}
+    comps.update({(i,): cyl.gamma.coeff(p, (i,)) for i in range(c.dim)})
     return comps
-
-
-def transport_target(c: LGConnectionData | LGxS1ConnectionData, chart: ExtendedChart,
-                     x: np.ndarray, u: np.ndarray) -> dict:
-    """Ad(g^{-1}) of the transported curvature ``string_cylinder(c)``
-    componentwise, keyed as ``g_curvature_components``: beta on base pairs,
-    gamma on base directions; group slots vanish."""
-    g = chart.group_map(u)
-    cyl = string_cylinder(c)
-    out = {}
-    for i in range(c.dim):
-        for j in range(i + 1, c.dim):
-            out[(i, j)] = lp.adjoint_inverse(g, cyl.beta.coeff(x, (i, j)))
-        out[(i,)] = lp.adjoint_inverse(g, cyl.gamma.coeff(x, (i,)))
-    return out
 
 
 def g_curvature_transport_check(
@@ -157,18 +146,24 @@ def g_curvature_transport_check(
     u: np.ndarray | None = None,
 ) -> float:
     """Max residual between the finite-difference curvature of the assembled
-    G-connection and the closed transport form, over the given base points.
-    Takes LG or LG x| S1 data; the latter is checked against the twisted
-    transport form.  The default chart takes the data's step, and the
-    G-connection is assembled once for all base points."""
+    G-connection at (x, u) and the closed transport form, Ad(g(u)^{-1}) of
+    the base data's ``cylinder`` at x, over the given base points; both
+    sides are read by ``g_curvature_components``, and a group component,
+    which has no base key, is compared with 0.  Takes LG or LG x| S1 data;
+    the latter is checked against the twisted transport form.  The default
+    chart takes the data's step, and the G-connection is assembled once for
+    all base points."""
     chart = chart or ExtendedChart(base_dim=c.dim, N=c.N, n=c.n, fd_step=c.fd_step)
     u = u if u is not None else np.zeros(chart.group_dim)
     cg = to_g_connection(c, chart)
+    g = chart.group_map(u)
     residuals = []
     for x in points:
         x = np.asarray(x, dtype=float)
-        target = transport_target(c, chart, x, u)
+        base = g_curvature_components(c, x)
         for key, val in g_curvature_components(cg, np.concatenate([x, u])).items():
-            residuals.append(np.max(np.abs(val - target[key] if key in target else val)))
+            if key in base:
+                val = val - lp.adjoint_inverse(g, base[key])
+            residuals.append(np.max(np.abs(val)))
     return fc._worst(residuals)
 

@@ -28,10 +28,11 @@ class _ConnectionChart:
 
     The forms derived from the data are attributes, built on first use and
     kept on the object: ``dA_dtheta``, the curvature ``F``, the curvature
-    ``F_tilde`` that the string forms and cylinders read, and the covariant
-    derivative ``nabla_phi`` of the Higgs field, and on LG x| S1 data also
-    ``f`` = da.  Every string form, cylinder and curving of one connection
-    shares them and their memos.  A changed connection (``gauge_transform``,
+    ``F_tilde`` that the string forms and the cylinder read, the covariant
+    derivative ``nabla_phi`` of the Higgs field, the curvature ``cylinder``
+    on chart x S1, and on LG x| S1 data also ``f`` = da.  Every string
+    form, fibre integral and curving of one connection shares them and
+    their memos.  A changed connection (``gauge_transform``,
     ``dataclasses.replace``) is a new object and builds its own.
     """
 
@@ -70,6 +71,16 @@ class _ConnectionChart:
             return fc.form_sum(terms, [1.0, 1.0, -1.0])
         twist = fc.wedge_scalar(self.a, partial_theta(self.phi))
         return fc.form_sum(terms + [twist], [1.0, 1.0, -1.0, -1.0])
+
+    @cached_property
+    def cylinder(self) -> fc.CylinderForm:
+        """Curvature on chart x S1: F + nabla Phi ^ dtheta; for LG x| S1 data
+        the transported curvature F~ + nabla Phi ^ (a + dtheta), F~ = F + f Phi."""
+        if not isinstance(self, LGxS1ConnectionData):
+            return fc.CylinderForm(beta=self.F, gamma=self.nabla_phi)
+        # nabla Phi ^ a = -a ^ nabla Phi
+        beta = fc.form_sum([self.F_tilde, fc.wedge_scalar(self.a, self.nabla_phi)], [1.0, -1.0])
+        return fc.CylinderForm(beta=beta, gamma=self.nabla_phi)
 
 
 @dataclass(frozen=True)
@@ -123,16 +134,6 @@ def higher_string_form(
     return fc.form_sum([fc.integrate_loop_form(integrand)], [float(k)])
 
 
-def string_cylinder(c: LGConnectionData | LGxS1ConnectionData) -> fc.CylinderForm:
-    """Curvature on chart x S1: F + nabla Phi ^ dtheta; for LG x| S1 data
-    the transported curvature F~ + nabla Phi ^ (a + dtheta), F~ = F + f Phi."""
-    if not isinstance(c, LGxS1ConnectionData):
-        return fc.CylinderForm(beta=c.F, gamma=c.nabla_phi)
-    # nabla Phi ^ a = -a ^ nabla Phi
-    beta = fc.form_sum([c.F_tilde, fc.wedge_scalar(c.a, c.nabla_phi)], [1.0, -1.0])
-    return fc.CylinderForm(beta=beta, gamma=c.nabla_phi)
-
-
 def independence_homotopy_form(
     f: InvariantPolynomial, c0: LGConnectionData, c1: LGConnectionData
 ) -> fc.FormField:
@@ -161,8 +162,7 @@ def independence_homotopy_form(
     for t in ts:
         At = fc.form_sum([c0.A, alpha], [1.0, float(t)])
         phit = fc.form_sum([c0.phi, varphi], [1.0, float(t)])
-        ct = LGConnectionData(At, phit, c0.dim, c0.N, c0.n, c0.fd_step)
-        cyl_t = string_cylinder(ct)
+        cyl_t = replace(c0, A=At, phi=phit).cylinder
         terms.append(fc.fiber_integrate_poly_wedge([diff_cyl] + [cyl_t] * (k - 1), f))
     return fc.form_sum([fc.form_sum(terms, list(w))], [float(k)])
 

@@ -739,7 +739,7 @@ def _caloron_pont(cfg: RunConfig, rng, variant) -> float:
         c = variant.connection(rng, 3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
         chart = caloron.ExtendedChart(3, cfg.samples, cfg.n, fd_step=cfg.fd_step)
         u = 0.3 * rng.standard_normal(chart.group_dim)
-        cyl = connections.string_cylinder(caloron.to_g_connection(c, chart))
+        cyl = caloron.to_g_connection(c, chart).cylinder
         p1 = caloron.on_section(fc.fiber_integrate_poly_wedge([cyl, cyl], f), chart, u)
         pts = sampling.random_chart_points(rng, 3, 1)
         return _max_diff(p1, connections.higher_string_form(f, c), pts)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ class TestAssembly:
 
 
 class TestTransport:
+    @pytest.mark.parametrize("connection", [sampling.random_lg_connection,
+                                            sampling.random_lgxs1_connection],
+                             ids=["lg", "twisted"])
+    def test_components_read_the_base_cylinder(self, connection):
+        # the reader of the G-curvature reads base data too: beta on pairs,
+        # gamma on singles, the transport check's target before Ad(g^{-1})
+        rng = np.random.default_rng(333)
+        c = connection(rng, 3, N, 2)
+        x = 0.3 * rng.standard_normal(3)
+        comps = caloron.g_curvature_components(c, x)
+        pairs, singles = list(combinations(range(3), 2)), [(i,) for i in range(3)]
+        assert sorted(comps) == sorted(pairs + singles)
+        for idx in pairs:
+            assert comps[idx].tobytes() == c.cylinder.beta.coeff(x, idx).tobytes()
+        for idx in singles:
+            assert comps[idx].tobytes() == c.cylinder.gamma.coeff(x, idx).tobytes()
+
     def test_random_data(self):
         c = sampling.random_lg_connection(RNG, 2, N, 2)
         pts = [0.3 * RNG.standard_normal(2) for _ in range(2)]
@@ -240,10 +258,19 @@ class TestRoundTrip:
 
 
 def _p1_routes(c):
-    """Int_S1 p1(cyl, cyl) of the string cylinder, and the string form at p1."""
+    """Int_S1 p1(cyl, cyl) of the curvature cylinder, and the string form at p1."""
     f = pontrjagyn_polynomial()
-    cyl = cn.string_cylinder(c)
+    cyl = c.cylinder
     return fc.fiber_integrate_poly_wedge([cyl, cyl], f), cn.higher_string_form(f, c)
+
+
+def _g_route_minus_string_form(c, chart, u):
+    """p1 of the G-connection's cylinder, integrated over the circle and
+    read off the section at u, minus the string form of the base data."""
+    f = pontrjagyn_polynomial()
+    cyl = caloron.to_g_connection(c, chart).cylinder
+    p1 = caloron.on_section(fc.fiber_integrate_poly_wedge([cyl, cyl], f), chart, u)
+    return fc.form_sum([p1, cn.higher_string_form(f, c)], [1.0, -1.0])
 
 
 class TestPontrjagyn:
@@ -251,22 +278,6 @@ class TestPontrjagyn:
         c = _flat_connection(3)
         form, _ = _p1_routes(c)
         assert fc.max_coeff(form, [np.zeros(3)]) < 1e-15
-
-    def test_matches_string_form(self):
-        c = sampling.random_lg_connection(RNG, 3, N, 2)
-        p1, s = _p1_routes(c)
-        diff = fc.form_sum([p1, s], [1.0, -1.0])
-        assert fc.max_coeff(diff, [0.3 * RNG.standard_normal(3)]) < 1e-4
-
-    def test_scaling_bilinearity(self):
-        # doubling the pairing normalization doubles both routes identically
-        c = sampling.random_lg_connection(RNG, 3, N, 2)
-        p1, s = _p1_routes(c)
-        p = 0.3 * RNG.standard_normal(3)
-        idx = (0, 1, 2)
-        assert 2 * p1.coeff(p, idx) == pytest.approx(
-            2 * s.coeff(p, idx), abs=2e-4
-        )
 
     def test_twisted_matches_string_form(self):
         c = sampling.random_lgxs1_connection(RNG, 3, N, 2)
@@ -325,10 +336,7 @@ class TestCaloronPontrjagyn:
         c = connection(rng, 3, N, 2)
         chart = caloron.ExtendedChart(3, N, 2, g0=sampling.random_group(rng, 2, 0.5))
         u = 0.3 * rng.standard_normal(chart.group_dim)
-        cyl = cn.string_cylinder(caloron.to_g_connection(c, chart))
-        f = pontrjagyn_polynomial()
-        p1 = caloron.on_section(fc.fiber_integrate_poly_wedge([cyl, cyl], f), chart, u)
-        diff = fc.form_sum([p1, cn.higher_string_form(f, c)], [1.0, -1.0])
+        diff = _g_route_minus_string_form(c, chart, u)
         assert fc.max_coeff(diff, [0.3 * rng.standard_normal(3)]) < 1e-8
 
     @staticmethod
@@ -377,6 +385,7 @@ class TestLoopBundleSlice:
         )
         pts = [0.3 * RNG.standard_normal(dim)]
         assert caloron.g_curvature_transport_check(c, pts) < 1e-5
-        p1, s = _p1_routes(c)
-        diff = fc.form_sum([p1, s], [1.0, -1.0])
-        assert fc.max_coeff(diff, pts) < 1e-5
+        # the string class through the caloron G-connection, at a generic u
+        chart = caloron.ExtendedChart(dim, N, 2)
+        u = 0.3 * RNG.standard_normal(chart.group_dim)
+        assert fc.max_coeff(_g_route_minus_string_form(c, chart, u), pts) < 1e-8

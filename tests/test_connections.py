@@ -220,7 +220,7 @@ class TestFiberIntegralRoute:
         draw = sampling.random_lgxs1_connection if twisted else sampling.random_lg_connection
         c = draw(rng, dim, 16, n)
         f = InvariantPolynomial(k) if k == 3 else pontrjagyn_polynomial()
-        cyl = cn.string_cylinder(c)
+        cyl = c.cylinder
         route = fc.fiber_integrate_poly_wedge([cyl] * k, f)
         p, top = 0.3 * rng.standard_normal(dim), tuple(range(dim))
         s = cn.higher_string_form(f, c).coeff(p, top)
@@ -258,7 +258,7 @@ class TestLGxS1:
         ext = cn.LGxS1ConnectionData(
             base.A, fc.FormField(1, dim, lambda p, idx: 0.0), base.phi, dim, N, 2
         )
-        cyl_ext, cyl_base = cn.string_cylinder(ext), cn.string_cylinder(base)
+        cyl_ext, cyl_base = ext.cylinder, base.cylinder
         pairs = [
             (ext.F, base.F),
             (ext.nabla_phi, base.nabla_phi),
@@ -560,7 +560,7 @@ class TestChartMaps:
     @pytest.mark.parametrize("twisted", [False, True])
     def test_derived_forms_built_once_per_connection(self, twisted):
         c, sigma = self.connection_and_gauge(np.random.default_rng(47), 3, twisted)
-        derived = ("F", "nabla_phi", "dA_dtheta") + (("f",) if twisted else ())
+        derived = ("F", "nabla_phi", "dA_dtheta", "cylinder") + (("f",) if twisted else ())
         for name in derived:
             assert getattr(c, name) is getattr(c, name)
         ct = cn.gauge_transform(c, sigma)
@@ -568,6 +568,10 @@ class TestChartMaps:
             assert getattr(ct, name) is getattr(ct, name)
             assert getattr(ct, name) is not getattr(c, name)
         assert replace(c, fd_step=1e-3).F is not c.F
+        # the cylinder reads the attributes: gamma is nabla Phi, and on LG
+        # data beta is F
+        assert c.cylinder.gamma is c.nabla_phi
+        assert (c.cylinder.beta is c.F) is not twisted
 
     def test_twisted_f_and_nabla_share_dA_dtheta(self, monkeypatch):
         # the twists a ^ dA/dtheta of F and dA/dtheta of nabla Phi take one

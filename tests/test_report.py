@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -14,6 +15,14 @@ from loopforms.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
+
+
+def _script(name: str):
+    """``scripts/<name>.py`` as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_cli(*args, env_extra=None):
@@ -611,6 +620,12 @@ class TestMutationSweep:
         assert "caloron.pontrjagyn_matches_string" not in killers
         assert proc.stdout.splitlines()[-1] == "killed 1 of 1 (1.00)"
 
+    def test_every_mutant_text_occurs_once(self):
+        # a mutant whose text has moved or gone is stale; the sweep would
+        # refuse it only when it runs
+        sweep = _script("mutation_sweep")
+        assert sweep.stale(sweep.MUTANTS) == []
+
     def test_unknown_mutant_runs_nothing(self):
         proc = subprocess.run(
             [sys.executable, self.SCRIPT, "--mutant", "M0"], capture_output=True, text=True
@@ -691,6 +706,11 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
 class TestBenchPairs:
+    def test_machine_without_scipy(self):
+        env = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "blas_threads": 1}
+        line = _script("bench_pairs").machine(env)
+        assert "numpy 2.4.6, scipy not installed, BLAS 1 thread(s)" in line
+
     def test_sigterm_kills_the_run_and_removes_the_base_tree(self, tmp_path):
         import os
         import shutil
